@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.metadata
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -197,6 +199,99 @@ def test_mass_flags_route_to_named_constructions(capsys):
     assert cli.main(["krall", "--theorem", "jacobi", "--alpha", "1", "--beta", "2",
                      "--mass-raw", "1", "--nmax", "6"]) == 0
     capsys.readouterr()
+
+
+# Digests of json.dumps(report, sort_keys=True) for fixed invocations at
+# --nmax 6.  They pin every report byte for byte, so a refactor of the
+# constructions must reproduce them exactly.
+GOLDEN_EXTRA_ARGS = {"krall": ["--ortho", "--band"], "table": [], "dump-operator": []}
+GOLDEN_DIGESTS = {
+    ("krall", "charlier --a 2/3 --k 2"):
+        "83037c3066de8fa36ce2351a585599222f232d95369610810c7246be759bf85c",
+    ("krall", "meixner1 --a=-1/7 --c 9/2 --k 2"):
+        "9743ef89f67dfee656293633df19d13098fa64842ce9e5be85193472a1f2771f",
+    ("krall", "meixner2 --a=-2/7 --c 11/2 --k 2"):
+        "73b08e5e71c5f1ec6d4fc96da67bfeab2de0524cac4c86ec289d34d8340eee57",
+    ("krall", "krawtchouk --a=-1/5 --N 3/2 --k 2"):
+        "28260c0b6548562875cbdcde566e6760a7303b064be5c6228773ea26121b55f0",
+    ("krall", "hahn1 --alpha 7/3 --c 5/2 --N 1/3 --k 1"):
+        "dd41ff1b3b11e1c41a850954dd61866ce546692993b386e426b09a8560da6873",
+    ("krall", "hahn2 --alpha 7/3 --c 5/2 --N 1/3 --k 2"):
+        "d461d8fdef36dd77915b866cf016b73b5a44625831d98402972e4f9c2bf811ed",
+    ("krall", "laguerre --alpha 2 --mass 1"):
+        "520bf99dd8de073876e9cd3a5793dfc7e4fbf7ac2189d0e85e247bad4ddfeec6",
+    ("krall", "laguerre --alpha 3 --mass-raw 5/18"):
+        "4b6088769639ec3cf5c067c8864cd44b48cdc6ac82f62ea073eaac7a6a3d4008",
+    ("krall", "laguerre --alpha 1/3 --mass 3/4"):
+        "f2184ed4e7f151e463ac258e85ab401036d7f1a3d4b772497ee90063647e39e8",
+    ("krall", "jacobi --alpha 1/2 --beta 2 --mass 1"):
+        "694e3bf66b8036294f3399c32abb1a905f51ec44ca70831719950cf168aad1e5",
+    ("krall", "jacobi --alpha 1 --beta 2 --mass-raw 1"):
+        "bd2d6f476d7695ac39f43b62b08acd1396ee02b31feda80a29b28d94204db546",
+    ("krall", "jacobi --alpha 1/3 --beta 1/2 --mass 3/4"):
+        "36bcb586c5affba9c4337bfe0c89c7f8661e0ce9ad420a569610f8467cccb8aa",
+    ("table", "charlier --a 2/3 --k 2"):
+        "75d8c28f08fe69a17f08bd8ac6b6dc2bbfa695b3d4b5a36455cc28ed2c4cad80",
+    ("table", "meixner1 --a=-1/7 --c 9/2 --k 2"):
+        "d6634edfd2446ca10eee53447def21f106838c7190ae88df7783e6f6a93c79f6",
+    ("table", "meixner2 --a=-2/7 --c 11/2 --k 2"):
+        "6ca905f9e8ede65efd536b5241e419a53a37d7605d0759d469dbc11de9cef034",
+    ("table", "krawtchouk --a=-1/5 --N 3/2 --k 2"):
+        "11df2612bdc466e0ccbe8ec9ac51164ca7c8def532b9532c408a4f99374d469c",
+    ("table", "hahn1 --alpha 7/3 --c 5/2 --N 1/3 --k 1"):
+        "64e1a56f8ce8509b919e5c549c718050c3fefd8c8f8907b7c3dd276770bba399",
+    ("table", "hahn2 --alpha 7/3 --c 5/2 --N 1/3 --k 2"):
+        "eed2e17748298c45dbe69edc6a1dc324f3dcc3f6a6b651f81ed93b153df234c4",
+    ("table", "laguerre --alpha 2 --mass 1"):
+        "4f55f13b3617f132458719808b21f12e0759873ec075ae7b33675c2f8a4ff87b",
+    ("table", "laguerre --alpha 3 --mass-raw 5/18"):
+        "3d54b614c3102f2a0b830fba0aac5b303c3a062afe831715002145dfdb1c65b9",
+    ("table", "laguerre --alpha 1/3 --mass 3/4"):
+        "9ca7f63ae494b8213d6cc87bf0609cddbaf6a162ea96af49b63a1b06a7f61c25",
+    ("table", "jacobi --alpha 1/2 --beta 2 --mass 1"):
+        "ff465a8c7cf0306e70c056219660128eea7b532cc87f7651871b761d8ede250c",
+    ("table", "jacobi --alpha 1 --beta 2 --mass-raw 1"):
+        "0163b9aa2f4f1cbad47835a41c7fd173a5351710bda566b6c6b838615cbd834c",
+    ("table", "jacobi --alpha 1/3 --beta 1/2 --mass 3/4"):
+        "52d9e31ad133c165047473d6bc852cf1bf3b05eef0fb39e289697239b3f95155",
+    ("dump-operator", "charlier --a 2/3 --k 2"):
+        "825cdd8d175315b44e6de705e42ac96a7b844aa2d3ff81b1628aed6f683c51cd",
+    ("dump-operator", "meixner1 --a=-1/7 --c 9/2 --k 2"):
+        "94b8d4c0562d42e8e83b74e8c979d24cb278b2585b6a1624ca70299db25fab15",
+    ("dump-operator", "meixner2 --a=-2/7 --c 11/2 --k 2"):
+        "67120f9be648f2980f383a9c957d3ccb8644bb7b9a71d83a1fc9c3571c11d44c",
+    ("dump-operator", "krawtchouk --a=-1/5 --N 3/2 --k 2"):
+        "70649236f8289740d8cbd407cb7df999b1cb554d906148c0b43db33b68e28c7c",
+    ("dump-operator", "hahn1 --alpha 7/3 --c 5/2 --N 1/3 --k 1"):
+        "0b823fce98466920de817b06a9077111f9a4eaf3b322c8b43c782de9014e4d3f",
+    ("dump-operator", "hahn2 --alpha 7/3 --c 5/2 --N 1/3 --k 2"):
+        "b3323aaae627d4b259ceab1b0af229cb10f21bcc7f704dd9d402fc2ef46652b4",
+    ("dump-operator", "laguerre --alpha 2 --mass 1"):
+        "5775162a30094596f81befc2b5a50c2fbfe64b6a9eb3581c8316cf30f771091e",
+    ("dump-operator", "laguerre --alpha 3 --mass-raw 5/18"):
+        "7cede7a46eb020aad9414470a0df031cb0513cda35de17ce51d1727eef291705",
+    ("dump-operator", "laguerre --alpha 1/3 --mass 3/4"):
+        "c6fc011bc597fcf670cd976f70f83e09ed041ca932f209ac1506aa8be51cbcda",
+    ("dump-operator", "jacobi --alpha 1/2 --beta 2 --mass 1"):
+        "70d38714ffb5d945161569479260883602bbcb4403917297bce4d49705aee692",
+    ("dump-operator", "jacobi --alpha 1 --beta 2 --mass-raw 1"):
+        "bceaf58ee7971376a8a85e3e6a7f9f8402f4db2843ca06156213780573454c7d",
+    ("dump-operator", "jacobi --alpha 1/3 --beta 1/2 --mass 3/4"):
+        "7cbbae55f0c535d07f1403d79d70f9c2ef0a315da6fc35358d0b4d4b7b676cdc",
+}
+
+
+def test_golden_report_digests(capsys):
+    got = {}
+    for sub, theorem_args in GOLDEN_DIGESTS:
+        theorem, *params = shlex.split(theorem_args)
+        argv = ["--json", sub, "--theorem", theorem, *params, "--nmax", "6",
+                *GOLDEN_EXTRA_ARGS[sub]]
+        code, doc = run_json(capsys, argv)
+        assert code == 0, argv
+        text = json.dumps(doc["report"], sort_keys=True)
+        got[(sub, theorem_args)] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GOLDEN_DIGESTS
 
 
 CONSOLE_ARGV = ["verify-dops", "--family", "charlier", "--a", "1", "--nmax", "4"]
