@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from . import moments
 from .dops import catalog, verify_dop
@@ -30,6 +28,7 @@ from .errors import (
     KrallopsError,
     NoOrthogonalPolynomialsError,
     OperatorError,
+    check_at_least,
 )
 from .families import FAMILY_PARAM_FIELDS, family_from_name, family_to_json
 from .krall import (
@@ -46,17 +45,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
-
-
-def _worker_map(fn: Callable, items: Iterable) -> list:
-    """Map with an optional thread pool; result order is input order either
-    way, so reports do not depend on completion order."""
-    items = list(items)
-    workers = int(os.environ.get("KRALL_WORKERS", "1") or "1")
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 def _rational(text: str) -> Fraction:
@@ -149,9 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_verify_dops(args) -> tuple[dict, list[str], bool]:
     fam = family_from_name(args.family, _collected_params(args))
-    results = _worker_map(lambda d: verify_dop(d, args.nmax), catalog(fam))
     checks = []
-    for ver in results:
+    for ver in (verify_dop(d, args.nmax) for d in catalog(fam)):
         checks.append(
             {
                 "dop": ver.dop_label,
@@ -208,25 +195,20 @@ def _run_krall(args) -> tuple[dict, list[str], bool]:
     ok = True
 
     if kc.operator is not None:
-        flags = _worker_map(
-            lambda n: kc.operator.apply(kc.q(n)) == kc.q(n) * kc.eigval(n),
-            range(nmax + 1),
-        )
-        rep = verify_eigen(kc, 0)  # order and genre only; per-n done above
-        eigen_ok = all(flags) and rep.order_ok and (rep.genre_ok is not False)
+        rep = verify_eigen(kc, nmax)
         report["eigen"] = {
-            "ok": eigen_ok,
-            "failures": [n for n, f in enumerate(flags) if not f],
+            "ok": rep.ok,
+            "failures": [c.n for c in rep.checks if not c.ok],
             "order": rep.order,
             "genre": list(rep.genre) if rep.genre is not None else None,
-            "eigenvalues": [fraction_to_str(kc.eigval(n)) for n in range(nmax + 1)],
+            "eigenvalues": [fraction_to_str(c.expected) for c in rep.checks],
         }
-        ok = ok and eigen_ok
+        ok = ok and rep.ok
         shape = f"order {rep.order}"
         if rep.genre is not None:
             shape += f", genre {rep.genre}"
         lines.append(
-            f"eigen-identity n <= {nmax}: {'pass' if eigen_ok else 'FAIL'} ({shape})"
+            f"eigen-identity n <= {nmax}: {'pass' if rep.ok else 'FAIL'} ({shape})"
         )
     else:
         report["eigen"] = None
@@ -277,6 +259,8 @@ def _run_krall(args) -> tuple[dict, list[str], bool]:
 
 
 def _run_casorati(args) -> tuple[dict, list[str], bool]:
+    check_at_least("nmax", args.nmax, 1)  # the checks run over n = 1..nmax
+
     def one(n: int) -> dict:
         det, closed = moments.casorati_check(args.a, args.k, n)
         return {
@@ -286,7 +270,7 @@ def _run_casorati(args) -> tuple[dict, list[str], bool]:
             "ok": det == closed,
         }
 
-    checks = _worker_map(one, range(1, args.nmax + 1))
+    checks = [one(n) for n in range(1, args.nmax + 1)]
     ok = all(c["ok"] for c in checks)
     report = {
         "subcommand": "casorati",

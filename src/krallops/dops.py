@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, check_at_least
 from .families import Charlier, Family, Hahn, Jacobi, Krawtchouk, Laguerre, Meixner
 from .opalg import (
     DifferenceOperator,
@@ -83,7 +83,8 @@ class DopVerification:
 
 
 def verify_dop(dop: DOperator, nmax: int) -> DopVerification:
-    """Compare series and closed form on p_0..p_nmax; collect, never raise."""
+    """Compare series and closed form on p_0..p_nmax; collect mismatches."""
+    check_at_least("nmax", nmax, 0)
     checks = []
     for n in range(nmax + 1):
         series = series_apply(dop, n)

@@ -50,3 +50,9 @@ class NoOrthogonalPolynomialsError(KrallopsError):
 
 class OperatorError(KrallopsError):
     """Operation undefined for this operator (e.g. genre of the zero op)."""
+
+
+def check_at_least(name: str, value: int, least: int) -> None:
+    """Reject a bound below ``least``, so that no check passes over an empty range."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}; got {value}")

@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import moments
 from .dops import DOperator, catalog
-from .errors import ConstructionError, HypothesisError
+from .errors import ConstructionError, HypothesisError, check_at_least
 from .families import (
+    FAMILY_PARAM_FIELDS,
     Charlier,
     Family,
     Hahn,
@@ -324,6 +325,7 @@ def verify_eigen(kc: KrallConstruction, nmax: Optional[int] = None) -> EigenRepo
     if kc.operator is None:
         raise ConstructionError(f"{kc.label} carries no operator to verify")
     nmax = kc.nmax if nmax is None else nmax
+    check_at_least("nmax", nmax, 0)
     checks = []
     for n in range(nmax + 1):
         qn = kc.q(n)
@@ -384,16 +386,233 @@ class NamedConstruction:
     notes: list[str] = field(default_factory=list)
 
 
-NAMED_KINDS = (
-    "charlier",
-    "meixner1",
-    "meixner2",
-    "krawtchouk",
-    "hahn1",
-    "hahn2",
-    "laguerre",
-    "jacobi",
-)
+def _label(kind: str, values: dict, tail: str) -> str:
+    shown = ", ".join(f"{name}={value}" for name, value in values.items())
+    return f"{kind}({shown}, {tail})"
+
+
+class _Type1Recipe(NamedTuple):
+    """Seed P2 = lo.p_k(s x - 1) and companion P1 = f * hi.p_{k+1}(s x), where
+    ``duals`` gives the dual families (hi, lo)."""
+
+    family: type
+    duals: Callable[..., tuple[Family, Family]]
+    scale: Callable[..., Fraction]
+    factor: Callable[..., Fraction]
+    dop_index: int
+    functional: Callable[..., moments.MomentFunctional]
+    notes: tuple[str, ...] = ()
+
+    def build(self, kind: str, values: dict, params: dict, k: int, nmax: int):
+        check_at_least("k", k, 0)
+        fam = self.family(**values)
+        s = self.scale(**values)
+        hi, lo = self.duals(**values)
+        p1 = hi.polynomial(k + 1)(Polynomial((0, s))) * self.factor(**values)
+        p2 = lo.polynomial(k)(Polynomial((-1, s)))
+        dop = catalog(fam)[self.dop_index]
+        kc = construct_type1(fam, dop, p2, nmax, p1=p1, label=_label(kind, values, f"k={k}"))
+        return NamedConstruction(kc, self.functional(**values, k=k), list(self.notes))
+
+
+class _Type2Recipe(NamedTuple):
+    """Seed weights w_j = (-k)_j (u+j)_{k-j} (v+j)_{k-j} / j! in the r_j basis.
+
+    ``exclusions`` must not be nonpositive integers.  ``negate`` flips the
+    raw output, whose catalog operator pairs with -sigma_n, to the usual frame.
+    """
+
+    family: type
+    pochhammer_pair: Callable[..., tuple[Fraction, Fraction]]
+    dop_index: int
+    exclusions: tuple[tuple[str, Callable[..., Fraction]], ...]
+    negate: bool
+    functional: Callable[..., moments.MomentFunctional]
+
+    def build(self, kind: str, values: dict, params: dict, k: int, nmax: int):
+        check_at_least("k", k, 0)
+        fam = self.family(**values)
+        for name, combination in self.exclusions:
+            v = combination(**values, k=k)
+            if v.denominator == 1 and v <= 0:
+                raise HypothesisError(
+                    f"{kind}: parameter exclusion violated: {name} = {v} is a"
+                    " nonpositive integer"
+                )
+        u, v = self.pochhammer_pair(**values)
+        w = [
+            pochhammer(-k, j) * pochhammer(u + j, k - j) * pochhammer(v + j, k - j) / factorial(j)
+            for j in range(k + 1)
+        ]
+        dop = catalog(fam)[self.dop_index]
+        kc = construct_type2(fam, dop, w, nmax, label=_label(kind, values, f"k={k}"))
+        if self.negate:
+            kc = negated_frame(kc)
+        return NamedConstruction(kc, self.functional(**values, k=k), [])
+
+
+def _laguerre_operator(fam, dop, k: int, raw: Fraction, nmax: int, label: str):
+    p2 = Polynomial.one() + Polynomial.from_roots(range(1, k + 1), lead=(-1) ** k) * raw
+    p1 = Polynomial((0, -1)) + Polynomial.from_roots(
+        range(0, k + 1), lead=(-1) ** (k + 1)
+    ) * (raw / (k + 1))
+    return construct_type1(fam, dop, p2, nmax, p1=p1, label=label)
+
+
+def _jacobi_operator(fam, dop, k: int, raw: Fraction, nmax: int, label: str):
+    w = [Fraction(1)] + [Fraction(0)] * (k - 1) + [raw]
+    return construct_type2(fam, dop, w, nmax, label=label)
+
+
+class _PointMassRecipe(NamedTuple):
+    """A point mass of ``mass`` base units, with gamma_n = 1 + mass * gamma_ratio(n).
+
+    When ``degree_param`` is a positive integer k, ``operator`` builds the
+    order-(2k+2) construction from the raw coefficient mass / mass_factor;
+    otherwise only the orthogonal sequence exists.
+    """
+
+    family: type
+    degree_param: str
+    mass_factor: Callable[..., Fraction]
+    gamma_ratio: Callable[..., Fraction]
+    operator: Callable[..., KrallConstruction]
+    functional: Callable[..., moments.MomentFunctional]
+
+    def build(self, kind: str, values: dict, params: dict, k: int, nmax: int):
+        degree = values[self.degree_param]
+        if "mass" in params:
+            mass = as_fraction(params["mass"])
+        else:
+            if degree.denominator != 1 or degree < 0:
+                raise ConstructionError(
+                    f"raw mass needs integer {self.degree_param}; supply mass in"
+                    " anchor units"
+                )
+            mass = as_fraction(params["mass_raw"]) * self.mass_factor(**values)
+        fam = self.family(**values)
+        functional = self.functional(**values, mass_ratio=mass)
+
+        def gamma_fn(n: int) -> Fraction:
+            return 1 + mass * self.gamma_ratio(**values, n=n)
+
+        label = _label(kind, values, f"mass={mass}")
+        dop = catalog(fam)[0]
+        notes = []
+        if degree.denominator == 1 and degree >= 1:
+            raw = mass / self.mass_factor(**values)
+            kc = self.operator(fam, dop, int(degree), raw, nmax, label)
+            if kc.gamma_fn(1) != gamma_fn(1) or kc.gamma_fn(3) != gamma_fn(3):
+                raise ConstructionError(f"{kind} mass reparameterization mismatch")
+        else:
+            _check_gamma_nonzero(kind, gamma_fn, nmax)
+            kc = KrallConstruction(
+                family=fam,
+                kind="orthogonality-only",
+                label=label,
+                nmax=nmax,
+                gamma_fn=gamma_fn,
+                eps_fn=dop.eps,
+            )
+            notes.append(
+                f"{self.degree_param} is not a positive integer: no finite-order"
+                " operator exists, so only the orthogonal sequence is built"
+            )
+        return NamedConstruction(kc, functional, notes)
+
+
+def _hahn_exclusions(third: tuple[str, Callable[..., Fraction]]):
+    return (
+        ("alpha+c-N+1", lambda alpha, c, N, k: alpha + c - N + 1),
+        ("alpha-N+1", lambda alpha, c, N, k: alpha - N + 1),
+        third,
+        ("c-k-1", lambda alpha, c, N, k: c - k - 1),
+    )
+
+
+# Every callable in a recipe takes the family parameters by name.
+_RECIPES = {
+    "charlier": _Type1Recipe(
+        family=Charlier,
+        duals=lambda a: (Charlier(-a), Charlier(-a)),
+        scale=lambda a: Fraction(1),
+        factor=lambda a: Fraction(-1),
+        dop_index=0,
+        functional=moments.charlier_transformed,
+    ),
+    "meixner1": _Type1Recipe(
+        family=Meixner,
+        duals=lambda a, c: (Meixner(1 / a, 1 - c), Meixner(1 / a, 2 - c)),
+        scale=lambda a, c: 1 / (1 - a),
+        factor=lambda a, c: 1 / (a - 1),
+        dop_index=0,  # eps = -1 pairs with the forward-difference form
+        functional=moments.meixner1_transformed,
+        notes=(
+            "companion operator uses the forward-difference closed form;"
+            " the backward-difference printing of this construction does"
+            " not reproduce the lowering series",
+        ),
+    ),
+    "meixner2": _Type1Recipe(
+        family=Meixner,
+        duals=lambda a, c: (Meixner(a, 1 - c), Meixner(a, 2 - c)),
+        scale=lambda a, c: 1 / (1 - a),
+        factor=lambda a, c: a / (1 - a),
+        dop_index=1,  # eps = -1/a pairs with the backward difference
+        functional=moments.meixner2_transformed,
+    ),
+    "krawtchouk": _Type1Recipe(
+        family=Krawtchouk,
+        duals=lambda a, N: (Krawtchouk(a, 1 - N), Krawtchouk(a, -N)),
+        scale=lambda a, N: 1 / (1 + a),
+        factor=lambda a, N: Fraction(-1),
+        dop_index=0,  # eps = 1/(1+a)
+        functional=moments.krawtchouk_transformed,
+        notes=(
+            "beta_n uses eps_n * gamma_{n+1}/gamma_n with eps_n = 1/(1+a);"
+            " a variant display with an extra factor n fails the eigen and"
+            " orthogonality checks",
+        ),
+    ),
+    "hahn1": _Type2Recipe(
+        family=Hahn,
+        pochhammer_pair=lambda alpha, c, N: (2 - alpha - c, 2 - c),
+        dop_index=0,
+        exclusions=_hahn_exclusions(("alpha+c-k-1", lambda alpha, c, N, k: alpha + c - k - 1)),
+        negate=False,
+        functional=moments.hahn1_transformed,
+    ),
+    "hahn2": _Type2Recipe(
+        family=Hahn,
+        pochhammer_pair=lambda alpha, c, N: (2 - c, N + 1),
+        dop_index=1,
+        exclusions=_hahn_exclusions(("alpha+c", lambda alpha, c, N, k: alpha + c)),
+        negate=True,
+        functional=moments.hahn2_transformed,
+    ),
+    "laguerre": _PointMassRecipe(
+        family=Laguerre,
+        degree_param="alpha",
+        mass_factor=lambda alpha: factorial(int(alpha)),
+        gamma_ratio=lambda alpha, n: pochhammer(alpha + 1, n - 1) / factorial(n - 1),
+        operator=_laguerre_operator,
+        functional=moments.laguerre_transformed,
+    ),
+    "jacobi": _PointMassRecipe(
+        family=Jacobi,
+        degree_param="beta",
+        mass_factor=lambda alpha, beta: pochhammer(1 + alpha, int(beta)) * factorial(int(beta)),
+        gamma_ratio=lambda alpha, beta, n: (
+            pochhammer(1 + alpha + beta, n - 1)
+            * pochhammer(1 + beta, n - 1)
+            / (pochhammer(1 + alpha, n - 1) * factorial(n - 1))
+        ),
+        operator=_jacobi_operator,
+        functional=moments.jacobi_transformed,
+    ),
+}
+
+NAMED_KINDS = tuple(_RECIPES)
 
 
 def named(kind: str, params: dict, k: int, nmax: int) -> NamedConstruction:
@@ -402,242 +621,20 @@ def named(kind: str, params: dict, k: int, nmax: int) -> NamedConstruction:
     ``params`` uses keys a, c, N, alpha, beta, mass as appropriate.  For
     laguerre/jacobi, ``k`` is ignored (the seed degree is alpha resp.
     beta when those are positive integers) and ``mass`` is the point-mass
-    ratio in base units.
+    ratio in base units; ``mass_raw`` may stand in for ``mass``.
     """
-    notes: list[str] = []
-    if kind == "charlier":
-        a = as_fraction(params["a"])
-        fam = Charlier(a)
-        dual = Charlier(-a)
-        p2 = dual.polynomial(k).shift_arg(-1)
-        p1 = -dual.polynomial(k + 1)
-        kc = construct_type1(
-            fam, catalog(fam)[0], p2, nmax, p1=p1, label=f"charlier(a={a}, k={k})"
-        )
-        functional = moments.charlier_transformed(a, k)
-        return NamedConstruction(kc, functional, notes)
-
-    if kind in ("meixner1", "meixner2"):
-        a, c = as_fraction(params["a"]), as_fraction(params["c"])
-        fam = Meixner(a, c)
-        scaled = Polynomial((Fraction(0), -1 / (a - 1)))  # -x/(a-1)
-        if kind == "meixner1":
-            dual_hi = Meixner(1 / a, -c + 1)
-            dual_lo = Meixner(1 / a, -c + 2)
-            p1 = dual_hi.polynomial(k + 1)(scaled) * (1 / (a - 1))
-            dop = catalog(fam)[0]  # eps = -1 pairs with the forward-difference form
-            notes.append(
-                "companion operator uses the forward-difference closed form;"
-                " the backward-difference printing of this construction does"
-                " not reproduce the lowering series"
-            )
-        else:
-            dual_hi = Meixner(a, -c + 1)
-            dual_lo = Meixner(a, -c + 2)
-            p1 = dual_hi.polynomial(k + 1)(scaled) * (-a / (a - 1))
-            dop = catalog(fam)[1]  # eps = -1/a pairs with the backward difference
-        p2 = dual_lo.polynomial(k)(scaled - Polynomial.one())
-        kc = construct_type1(
-            fam, dop, p2, nmax, p1=p1, label=f"{kind}(a={a}, c={c}, k={k})"
-        )
-        functional = (
-            moments.meixner1_transformed(a, c, k)
-            if kind == "meixner1"
-            else moments.meixner2_transformed(a, c, k)
-        )
-        return NamedConstruction(kc, functional, notes)
-
-    if kind == "krawtchouk":
-        a, N = as_fraction(params["a"]), as_fraction(params["N"])
-        fam = Krawtchouk(a, N)
-        scaled = Polynomial((Fraction(0), 1 / (1 + a)))  # x/(1+a)
-        dual_hi = Krawtchouk(a, -N + 1)
-        dual_lo = Krawtchouk(a, -N)
-        p1 = -dual_hi.polynomial(k + 1)(scaled)
-        p2 = dual_lo.polynomial(k)(scaled - Polynomial.one())
-        dop = catalog(fam)[0]  # eps = 1/(1+a)
-        notes.append(
-            "beta_n uses eps_n * gamma_{n+1}/gamma_n with eps_n = 1/(1+a);"
-            " a variant display with an extra factor n fails the eigen and"
-            " orthogonality checks"
-        )
-        kc = construct_type1(
-            fam, dop, p2, nmax, p1=p1, label=f"krawtchouk(a={a}, N={N}, k={k})"
-        )
-        functional = moments.krawtchouk_transformed(a, N, k)
-        return NamedConstruction(kc, functional, notes)
-
-    if kind in ("hahn1", "hahn2"):
-        al, c, N = (
-            as_fraction(params["alpha"]),
-            as_fraction(params["c"]),
-            as_fraction(params["N"]),
-        )
-        fam = Hahn(al, c, N)
-        _check_hahn_exclusions(kind, al, c, N, k)
-        if kind == "hahn1":
-            w = [
-                pochhammer(-k, j)
-                * pochhammer(2 - al - c + j, k - j)
-                * pochhammer(2 - c + j, k - j)
-                / factorial(j)
-                for j in range(k + 1)
-            ]
-            dop = catalog(fam)[0]
-            kc = construct_type2(
-                fam, dop, w, nmax, label=f"hahn1(alpha={al}, c={c}, N={N}, k={k})"
-            )
-            functional = moments.hahn1_transformed(al, c, N, k)
-        else:
-            w = [
-                pochhammer(-k, j)
-                * pochhammer(2 - c + j, k - j)
-                * pochhammer(N + 1 + j, k - j)
-                / factorial(j)
-                for j in range(k + 1)
-            ]
-            dop = catalog(fam)[1]
-            kc = construct_type2(
-                fam, dop, w, nmax, label=f"hahn2(alpha={al}, c={c}, N={N}, k={k})"
-            )
-            # The catalog pairs this lowering operator with -sigma_n, so the
-            # raw second-kind output lands in the negated frame; flip it so
-            # the reported operator and eigenvalues match the usual display.
-            kc = negated_frame(kc)
-            functional = moments.hahn2_transformed(al, c, N, k)
-        return NamedConstruction(kc, functional, notes)
-
-    if kind == "laguerre":
-        al = as_fraction(params["alpha"])
-        if "mass" in params:
-            mass = as_fraction(params["mass"])
-        else:
-            # Raw point-mass coefficient; only convertible when alpha is a
-            # nonnegative integer (the anchor ratio is factorial(alpha)).
-            if al.denominator != 1 or al < 0:
-                raise ConstructionError(
-                    "raw mass needs integer alpha; supply mass in anchor units"
-                )
-            mass = as_fraction(params["mass_raw"]) * factorial(int(al))
-        fam = Laguerre(al)
-        functional = moments.laguerre_transformed(al, mass)
-
-        def gamma_fn(n: int) -> Fraction:
-            return 1 + mass * pochhammer(al + 1, n - 1) / factorial(n - 1)
-
-        if al.denominator == 1 and al >= 1:
-            k_int = int(al)
-            raw = mass / factorial(k_int)  # unscaled point-mass coefficient
-            p2 = Polynomial.one() + Polynomial.from_roots(range(1, k_int + 1), lead=(-1) ** k_int) * raw
-            p1 = Polynomial((0, -1)) + Polynomial.from_roots(
-                range(0, k_int + 1), lead=(-1) ** (k_int + 1)
-            ) * (raw / (k_int + 1))
-            kc = construct_type1(
-                fam,
-                catalog(fam)[0],
-                p2,
-                nmax,
-                p1=p1,
-                label=f"laguerre(alpha={al}, mass={mass})",
-            )
-            if kc.gamma_fn(1) != gamma_fn(1) or kc.gamma_fn(3) != gamma_fn(3):
-                raise ConstructionError("laguerre mass reparameterization mismatch")
-        else:
-            _check_gamma_nonzero("laguerre", gamma_fn, nmax)
-            kc = KrallConstruction(
-                family=fam,
-                kind="orthogonality-only",
-                label=f"laguerre(alpha={al}, mass={mass})",
-                nmax=nmax,
-                gamma_fn=gamma_fn,
-                eps_fn=lambda n: Fraction(-1),
-            )
-            notes.append(
-                "alpha is not a positive integer: no finite-order operator"
-                " exists, so only the orthogonal sequence is built"
-            )
-        return NamedConstruction(kc, functional, notes)
-
-    if kind == "jacobi":
-        al, be = as_fraction(params["alpha"]), as_fraction(params["beta"])
-        if "mass" in params:
-            mass = as_fraction(params["mass"])
-        else:
-            if be.denominator != 1 or be < 0:
-                raise ConstructionError(
-                    "raw mass needs integer beta; supply mass in anchor units"
-                )
-            mass = (
-                as_fraction(params["mass_raw"])
-                * pochhammer(1 + al, int(be))
-                * factorial(int(be))
-            )
-        fam = Jacobi(al, be)
-        functional = moments.jacobi_transformed(al, be, mass)
-
-        def gamma_fn(n: int) -> Fraction:
-            return 1 + mass * pochhammer(1 + al + be, n - 1) * pochhammer(
-                1 + be, n - 1
-            ) / (pochhammer(1 + al, n - 1) * factorial(n - 1))
-
-        def eps_fn(n: int) -> Fraction:
-            return (n + al) / (n + al + be)
-
-        if be.denominator == 1 and be >= 1:
-            k_int = int(be)
-            raw = mass / (pochhammer(1 + al, k_int) * factorial(k_int))
-            w = [Fraction(0)] * (k_int + 1)
-            w[0] = Fraction(1)
-            w[k_int] += raw
-            kc = construct_type2(
-                fam,
-                catalog(fam)[0],
-                w,
-                nmax,
-                label=f"jacobi(alpha={al}, beta={be}, mass={mass})",
-            )
-            if kc.gamma_fn(1) != gamma_fn(1) or kc.gamma_fn(3) != gamma_fn(3):
-                raise ConstructionError("jacobi mass reparameterization mismatch")
-        else:
-            _check_gamma_nonzero("jacobi", gamma_fn, nmax)
-            kc = KrallConstruction(
-                family=fam,
-                kind="orthogonality-only",
-                label=f"jacobi(alpha={al}, beta={be}, mass={mass})",
-                nmax=nmax,
-                gamma_fn=gamma_fn,
-                eps_fn=eps_fn,
-            )
-            notes.append(
-                "beta is not a positive integer: no finite-order operator"
-                " exists, so only the orthogonal sequence is built"
-            )
-        return NamedConstruction(kc, functional, notes)
-
-    raise ValueError(f"unknown construction kind {kind!r}")
-
-
-def _check_hahn_exclusions(kind: str, al: Fraction, c: Fraction, N: Fraction, k: int):
-    if kind == "hahn1":
-        values = {
-            "alpha+c-N+1": al + c - N + 1,
-            "alpha-N+1": al - N + 1,
-            "alpha+c-k-1": al + c - k - 1,
-            "c-k-1": c - k - 1,
-        }
-    else:
-        values = {
-            "alpha+c-N+1": al + c - N + 1,
-            "alpha-N+1": al - N + 1,
-            "alpha+c": al + c,
-            "c-k-1": c - k - 1,
-        }
-    for label, v in values.items():
-        if v.denominator == 1 and v <= 0:
-            raise HypothesisError(
-                f"{kind}: parameter exclusion violated: {label} = {v} is a"
-                " nonpositive integer"
-            )
+    recipe = _RECIPES.get(kind)
+    if recipe is None:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    check_at_least("nmax", nmax, 0)
+    fields = FAMILY_PARAM_FIELDS[recipe.family.__name__.lower()]
+    missing = [f for f in fields if f not in params]
+    if isinstance(recipe, _PointMassRecipe) and not {"mass", "mass_raw"} & params.keys():
+        missing.append("mass or mass_raw")
+    if missing:
+        raise ValueError(f"theorem {kind!r} needs parameters {missing}")
+    values = {f: as_fraction(params[f]) for f in fields}
+    return recipe.build(kind, values, params, k, nmax)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .errors import DegeneracyError, NoOrthogonalPolynomialsError
+from .errors import DegeneracyError, NoOrthogonalPolynomialsError, check_at_least
 from .families import (
     Charlier,
     Family,
@@ -35,6 +35,7 @@ from .families import (
     Meixner,
     dual_hahn_variant,
     family_from_json,
+    family_from_name,
     family_to_json,
 )
 from .polyops import (
@@ -344,9 +345,11 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
     sides are exact rationals.  ``params`` carries the family parameters
     (a, c, N, alpha as appropriate).
     """
+    check_at_least("nmax", nmax, 0)
+    check_at_least("k", k, 0)
     if kind == "chxx":
-        a = as_fraction(params["a"])
-        fam = Charlier(a)
+        fam = family_from_name("charlier", params)
+        a = fam.a
         functional = charlier_transformed(a, k)
         dual = Charlier(-a)
 
@@ -356,8 +359,8 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
             return (-1) ** n * num / den
 
     elif kind == "lme1x":
-        a, c = as_fraction(params["a"]), as_fraction(params["c"])
-        fam = Meixner(a, c)
+        fam = family_from_name("meixner", params)
+        a, c = fam.a, fam.c
         functional = meixner1_transformed(a, c, k)
         dual = Meixner(1 / a, -c + 2)
 
@@ -365,8 +368,8 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
             return dual.polynomial(k)(Fraction(-n - 1)) / dual.polynomial(k)(Fraction(-1))
 
     elif kind == "meixner2":
-        a, c = as_fraction(params["a"]), as_fraction(params["c"])
-        fam = Meixner(a, c)
+        fam = family_from_name("meixner", params)
+        a, c = fam.a, fam.c
         functional = meixner2_transformed(a, c, k)
         dual = Meixner(a, -c + 2)
 
@@ -376,8 +379,8 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
             return num / (a**n * den)
 
     elif kind == "krawtchouk":
-        a, N = as_fraction(params["a"]), as_fraction(params["N"])
-        fam = Krawtchouk(a, N)
+        fam = family_from_name("krawtchouk", params)
+        a, N = fam.a, fam.N
         functional = krawtchouk_transformed(a, N, k)
         dual = Krawtchouk(a, -N)
 
@@ -387,12 +390,8 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
             return (-1) ** n * num / ((1 + a) ** n * den)
 
     elif kind in ("hahn1", "hahn2"):
-        al, c, N = (
-            as_fraction(params["alpha"]),
-            as_fraction(params["c"]),
-            as_fraction(params["N"]),
-        )
-        fam = Hahn(al, c, N)
+        fam = family_from_name("hahn", params)
+        al, c, N = fam.alpha, fam.c, fam.N
         variant = 1 if kind == "hahn1" else 2
         functional = (
             hahn1_transformed(al, c, N, k)
@@ -496,6 +495,7 @@ def occ_form(alpha: RatLike, p2: Polynomial, f: Polynomial, g: Polynomial) -> Fr
 def casorati_check(a: RatLike, k: int, n: int) -> tuple[Fraction, Fraction]:
     """Return (determinant, closed form) for the k x k Casorati matrix
     of Charlier values (p_{n+j-1}(i))_{i,j=1..k}."""
+    check_at_least("k", k, 1)
     a = as_fraction(a)
     fam = Charlier(a)
     matrix = [

@@ -163,9 +163,6 @@ class Polynomial:
             e >>= 1
         return out
 
-    def scale(self, scalar: RatLike) -> "Polynomial":
-        return self * as_fraction(scalar)
-
     # -- evaluation and composition -------------------------------------------
 
     def __call__(self, point):

@@ -109,6 +109,30 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main(["verify-dops", "--family", "charlier"]) == 2
     assert cli.main(["casorati", "--a", "x/y", "--k", "1"]) == 2
     capsys.readouterr()
+    # Each error names the parameter at fault: empty or negative ranges and
+    # missing parameters are usage errors, never vacuous passes.
+    named_errors = [
+        (["krall", "--theorem", "charlier", "--a", "1", "--nmax", "-3"], "nmax"),
+        (["krall", "--theorem", "meixner1", "--a", "1/2"], "'c'"),
+        (["krall", "--theorem", "hahn1", "--alpha", "7/3", "--c", "5/2",
+          "--N", "1/3", "--k", "-1"], "k must be"),
+        (["krall", "--theorem", "laguerre", "--alpha", "2"], "mass or mass_raw"),
+        (["verify-dops", "--family", "charlier", "--a", "1", "--nmax", "-5"], "nmax"),
+        (["table", "--theorem", "charlier", "--a", "1", "--nmax", "-1"], "nmax"),
+        (["dump-operator", "--theorem", "krawtchouk", "--a", "1/2", "--N", "3",
+          "--k", "-2"], "k must be"),
+        (["casorati", "--a", "1", "--k", "0"], "k must be"),
+        (["casorati", "--a", "1", "--k", "2", "--nmax", "0"], "nmax"),
+        (["ip-lemma", "--kind", "chxx", "--a", "2", "--nmax", "-1"], "nmax"),
+        (["ip-lemma", "--kind", "hahn1", "--alpha", "7/3", "--c", "5/2"], "'N'"),
+        (["ip-lemma", "--kind", "hahn1", "--alpha", "7/3", "--c", "5/2",
+          "--N", "1/3", "--k", "-1"], "k must be"),
+    ]
+    for argv, name in named_errors:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert name in captured.err, (argv, captured.err)
+        assert captured.out == "", argv
 
 
 def test_help_exits_zero(capsys):
@@ -121,26 +145,6 @@ def test_check_failure_exits_one(capsys, monkeypatch):
         cli._RUNNERS, "casorati", lambda args: ({"ok": False}, ["boom"], False)
     )
     assert cli.main(["casorati", "--a", "1", "--k", "1"]) == 1
-
-
-def test_reports_identical_across_worker_counts(capsys, monkeypatch):
-    argv = [
-        "--json", "krall", "--theorem", "hahn1", "--alpha", "7/3",
-        "--c", "5/2", "--N", "1/3", "--k", "1", "--nmax", "5", "--ortho",
-    ]
-    monkeypatch.setenv("KRALL_WORKERS", "1")
-    _, serial = run_json(capsys, argv)
-    monkeypatch.setenv("KRALL_WORKERS", "4")
-    _, pooled = run_json(capsys, argv)
-    assert serial["report"] == pooled["report"]
-
-    dops_argv = ["--json", "verify-dops", "--family", "hahn", "--alpha", "7/3",
-                 "--c", "5/2", "--N", "1/3", "--nmax", "5"]
-    monkeypatch.setenv("KRALL_WORKERS", "1")
-    _, serial = run_json(capsys, dops_argv)
-    monkeypatch.setenv("KRALL_WORKERS", "3")
-    _, pooled = run_json(capsys, dops_argv)
-    assert serial["report"] == pooled["report"]
 
 
 def test_casorati_subcommand(capsys):
