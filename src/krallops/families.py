@@ -28,15 +28,10 @@ from .polyops import (
     binom_poly,
     fraction_to_str,
     binom_scalar,
-    falling_factorial_poly,
+    falling_factorial_polys,
     pochhammer,
     pochhammer_poly,
 )
-
-
-def _neg_x_poch(count: int) -> Polynomial:
-    """(-x)_count as a polynomial in x; equals (-1)^count * x(x-1)...(x-count+1)."""
-    return falling_factorial_poly(count) * ((-1) ** count)
 
 
 class Family:
@@ -146,10 +141,8 @@ class Charlier(Family):
 
     def _build_poly(self, n: int) -> Polynomial:
         out = Polynomial.zero()
-        for j in range(n + 1):
-            out = out + falling_factorial_poly(j) * (
-                (-self.a) ** (n - j) * binom_scalar(n, j)
-            )
+        for j, ff in enumerate(falling_factorial_polys(n)):
+            out = out + ff * ((-self.a) ** (n - j) * binom_scalar(n, j))
         return out / factorial(n)
 
     def eigenvalue(self, n: int) -> Fraction:
@@ -224,15 +217,16 @@ class Krawtchouk(Family):
         a, N = self.a, self.N
         ratio = a / (1 + a)
         out = Polynomial.zero()
-        for j in range(n + 1):
+        # (-1)^(n+j) (-x)_j = (-1)^n x(x-1)...(x-j+1)
+        for j, ff in enumerate(falling_factorial_polys(n)):
             scalar = (
-                (-1) ** (n + j)
+                (-1) ** n
                 * ratio ** (n - j)
                 * pochhammer(-n, j)
                 * pochhammer(N - n, n - j)
                 / factorial(j)
             )
-            out = out + _neg_x_poch(j) * scalar
+            out = out + ff * scalar
         return out / factorial(n)
 
     def eigenvalue(self, n: int) -> Fraction:
@@ -272,20 +266,22 @@ class Hahn(Family):
     def _build_poly(self, n: int) -> Polynomial:
         al, c, N = self.alpha, self.c, self.N
         out = Polynomial.zero()
-        for j in range(n + 1):
+        for j, ff in enumerate(falling_factorial_polys(n)):
             denom = pochhammer(n + al + c - N + j, n - j)
             if denom == 0:
                 raise DegeneracyError(
                     f"Hahn degree-{n} polynomial undefined:"
                     f" (n+alpha+c-N+{j})_{n - j} = 0"
                 )
+            # (-x)_j = (-1)^j x(x-1)...(x-j+1)
             scalar = (
-                pochhammer(-n, j)
+                (-1) ** j
+                * pochhammer(-n, j)
                 * pochhammer(1 - N + j, n - j)
                 * pochhammer(c + j, n - j)
                 / (denom * factorial(j))
             )
-            out = out + _neg_x_poch(j) * scalar
+            out = out + ff * scalar
         return out
 
     def eigenvalue(self, n: int) -> Fraction:

@@ -359,14 +359,15 @@ def band_profile(
     """Expand multiplier * q_n in the q basis; report nonzero offsets j
     (coefficient of q_{n+j}) for each n."""
     d = multiplier.degree
+    qs = kc.q_sequence(nmax + d)
     out: dict[int, list[int]] = {}
     for n in range(nmax + 1):
-        target = multiplier * kc.q(n)
+        target = multiplier * qs[n]
         top = n + d
         coords = [Fraction(0)] * (top + 1)
         residual = target
         for m in range(top, -1, -1):
-            qm = kc.q(m)
+            qm = qs[m]
             c = residual.coeff(m) / qm.lead
             coords[m] = c
             residual = residual - qm * c

@@ -10,17 +10,42 @@ rationals.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import OperatorError
-from .polyops import Polynomial, RatLike, as_fraction, binom_scalar, fraction_to_str
+from .polyops import (
+    Polynomial,
+    RatLike,
+    _convolve,
+    _from_ints,
+    _taylor_shift,
+    as_fraction,
+    binom_scalar,
+)
 
 
 def _as_coeff_poly(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial((as_fraction(value),))
+
+
+def _sum_of_products(pairs: list[tuple[Polynomial, list[int]]], den: int) -> Polynomial:
+    """sum_i f_i * (g_i / den) for nonzero polynomials f_i and integer lists g_i.
+
+    Each f_i is brought to integers, scaled to the lcm of their
+    denominators and convolved with g_i; the sum is normalised once."""
+    ints = [f._ints() for f, _ in pairs]
+    common = lcm(*[df for _, df in ints])
+    acc: list[int] = []
+    for (fn, df), (_, g) in zip(ints, pairs):
+        scale = common // df
+        prod = _convolve([c * scale for c in fn], g)
+        if len(prod) > len(acc):
+            acc.extend([0] * (len(prod) - len(acc)))
+        acc[: len(prod)] = [x + y for x, y in zip(acc, prod)]
+    return _from_ints(acc, common * den)
 
 
 class DifferenceOperator:
@@ -82,10 +107,14 @@ class DifferenceOperator:
         return r - s
 
     def apply(self, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero()
+        q, den = p._ints()
+        pairs = []
         for shift, f in self._terms.items():
-            out = out + f * p.shift_arg(shift)
-        return out
+            qs = list(q)
+            if shift:
+                _taylor_shift(qs, shift)
+            pairs.append((f, qs))
+        return _sum_of_products(pairs, den)
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
         # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.
@@ -175,13 +204,15 @@ class DifferentialOperator:
         return all(f.is_zero() or f.degree <= j for j, f in enumerate(self._terms))
 
     def apply(self, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero()
-        d = p
+        d, den = p._ints()
+        pairs = []
         for f in self._terms:
+            if not d:
+                break
             if not f.is_zero():
-                out = out + f * d
-            d = d.derivative()
-        return out
+                pairs.append((f, d))
+            d = [j * d[j] for j in range(1, len(d))]
+        return _sum_of_products(pairs, den)
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).

@@ -9,7 +9,7 @@ power with trailing zeros stripped, and every operation is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 RatLike = Union[Fraction, int, str]
@@ -130,14 +130,9 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Polynomial(out)
+            a, da = self._ints()
+            b, db = other._ints()
+            return _from_ints(_convolve(a, b), da * db)
         try:
             c = as_fraction(other)
         except TypeError:
@@ -179,14 +174,35 @@ class Polynomial:
         return acc_f
 
     def shift_arg(self, offset: RatLike) -> "Polynomial":
-        """Return p(x + offset)."""
-        return self(Polynomial((as_fraction(offset), 1)))
+        """Return p(x + offset), by an integer Taylor shift.
+
+        For offset u/v and degree d: scale coefficient j by v^(d-j), shift
+        by the integer u, then scale coefficient j by v^j over the
+        denominator v^d.
+        """
+        off = as_fraction(offset)
+        if off == 0 or len(self._coeffs) < 2:
+            return self
+        nums, den = self._ints()
+        u, v = off.numerator, off.denominator
+        d = len(nums) - 1
+        nums = [c * v ** (d - j) for j, c in enumerate(nums)]
+        _taylor_shift(nums, u)
+        return _from_ints([c * v**j for j, c in enumerate(nums)], den * v**d)
 
     def derivative(self, times: int = 1) -> "Polynomial":
         p = self
         for _ in range(times):
             p = Polynomial([i * c for i, c in enumerate(p._coeffs)][1:])
         return p
+
+    # -- integer form --------------------------------------------------------------
+
+    def _ints(self) -> tuple[list[int], int]:
+        """Integer numerators over the lcm of the coefficient denominators."""
+        cs = self._coeffs
+        den = lcm(*[c.denominator for c in cs])
+        return [c.numerator * (den // c.denominator) for c in cs], den
 
     # -- comparison / display --------------------------------------------------
 
@@ -236,6 +252,44 @@ class Polynomial:
         return cls(data)
 
 
+def _from_ints(nums: list[int], den: int) -> Polynomial:
+    """Polynomial with coefficients nums[j] / den, in lowest terms; strips
+    trailing zeros of ``nums`` in place."""
+    while nums and not nums[-1]:
+        nums.pop()
+    out = Polynomial.__new__(Polynomial)
+    # Build the tuple from a list, not from a generator.  tuple(genexpr)
+    # cannot know the length and resizes as it goes; on the eigen workloads
+    # that left CPython's tuple free lists full (2000 spare tuples of each
+    # small size, per sys._debugmallocstats) and raised peak RSS by more
+    # than 1 MB.  lcm(*genexpr) in _ints would unpack through such a tuple.
+    object.__setattr__(out, "_coeffs", tuple([Fraction(c, den) for c in nums]))
+    return out
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Schoolbook product of two integer coefficient lists (both nonempty)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, y in enumerate(b):
+        if y:
+            out[i : i + len(a)] = [o + x * y for o, x in zip(out[i : i + len(a)], a)]
+    return out
+
+
+def _taylor_shift(nums: list[int], u: int) -> None:
+    """In place: replace the coefficients of p(x) by those of p(x + u).
+
+    Synthetic division: d passes of Horner's rule, O(d^2) integer
+    operations (von zur Gathen and Gerhard, ISSAC 1997)."""
+    d = len(nums) - 1
+    for i in range(d):
+        acc = nums[d]
+        for j in range(d - 1, i - 1, -1):
+            acc = nums[j] = nums[j] + u * acc
+
+
 def _coerce_poly(value):
     if isinstance(value, Polynomial):
         return value
@@ -265,9 +319,17 @@ def pochhammer_poly(offset: RatLike, count: int) -> Polynomial:
     return Polynomial.from_roots([-(off + i) for i in range(count)])
 
 
+def falling_factorial_polys(count: int) -> list[Polynomial]:
+    """[x(x-1)...(x-j+1) for j = 0..count], each grown from the one before."""
+    out = [Polynomial.one()]
+    for j in range(count):
+        out.append(out[-1] * Polynomial((-j, 1)))
+    return out
+
+
 def falling_factorial_poly(count: int) -> Polynomial:
     """x(x-1)...(x-count+1); the empty product is 1."""
-    return Polynomial.from_roots(range(count))
+    return falling_factorial_polys(count)[-1]
 
 
 def binom_poly(count: int) -> Polynomial:

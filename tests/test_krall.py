@@ -19,6 +19,7 @@ from krallops.families import (
     expand_in_family_basis,
 )
 from krallops.krall import (
+    KrallConstruction,
     band_profile,
     construct_type1,
     construct_type2,
@@ -253,6 +254,17 @@ def test_band_profiles():
     window = Polynomial.from_roots([-1, -2, -3])
     prof = band_profile(ch, window, 8)
     assert all(min(v) >= -3 and max(v) <= 3 for v in prof.values())
+
+
+def test_band_profile_builds_each_q_once(monkeypatch):
+    # charlier, k = 2: the degree-3 multiplier needs q_0 .. q_{nmax+3}
+    ch = named("charlier", {"a": 1}, k=2, nmax=20).construction
+    built = []
+    q = KrallConstruction.q
+    monkeypatch.setattr(KrallConstruction, "q", lambda self, n: built.append(n) or q(self, n))
+    prof = band_profile(ch, Polynomial.from_roots([-1, -2, -3]), 20)
+    assert sorted(built) == list(range(24))
+    assert sorted(prof) == list(range(21))
 
 
 def test_perturbed_beta_breaks_eigen_identity():
