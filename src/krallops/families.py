@@ -1,8 +1,8 @@
 """Classical discrete and continuous orthogonal polynomial families.
 
-Each family knows how to build its polynomials from an explicit
-hypergeometric-style sum, its second-order eigenoperator, its eigenvalue
-sequence theta_n, and its three-term recurrence
+Each family knows its polynomials as a terminating hypergeometric sum in
+Newton form (terms and nodes), its second-order eigenoperator, its
+eigenvalue sequence theta_n, and its three-term recurrence
 x*p_n = a_n*p_{n+1} + b_n*p_n + c_n*p_{n-1}.  The discrete families on a
 quadratic lattice (Hahn) and the Jacobi family also expose the r_j basis
 and the u_j sequences used by the second-kind lowering operators.
@@ -16,22 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .errors import DegeneracyError
-from .opalg import DifferenceOperator, DifferentialOperator, Operator
 from math import factorial
 
-from .polyops import (
-    Polynomial,
-    RatLike,
-    as_fraction,
-    binom_poly,
-    fraction_to_str,
-    binom_scalar,
-    falling_factorial_polys,
-    pochhammer,
-    pochhammer_poly,
-)
+from .errors import DegeneracyError, check_at_least
+from .opalg import DifferenceOperator, DifferentialOperator, Operator
+from .polyops import Polynomial, RatLike, as_fraction, binom_scalar, fraction_to_str, pochhammer
 
 
 class Family:
@@ -45,7 +34,16 @@ class Family:
         return _classical_poly(self, n)
 
     def _build_poly(self, n: int) -> Polynomial:
+        """p_n = sum_j t_j(n) prod_{i<j} (x - x_i), by nested multiplication."""
+        return Polynomial.from_newton([self._term(n, j) for j in range(n + 1)], self._nodes(n))
+
+    def _term(self, n: int, j: int) -> Fraction:
+        """The Newton coefficient t_j(n) of p_n."""
         raise NotImplementedError
+
+    def _nodes(self, n: int):
+        """The Newton nodes x_0..x_{n-1}: the lattice 0, 1, 2, ... by default."""
+        return range(n)
 
     def eigenvalue(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -139,11 +137,8 @@ class Charlier(Family):
         if self.a == 0:
             raise DegeneracyError("Charlier requires a != 0")
 
-    def _build_poly(self, n: int) -> Polynomial:
-        out = Polynomial.zero()
-        for j, ff in enumerate(falling_factorial_polys(n)):
-            out = out + ff * ((-self.a) ** (n - j) * binom_scalar(n, j))
-        return out / factorial(n)
+    def _term(self, n: int, j: int) -> Fraction:
+        return (-self.a) ** (n - j) * binom_scalar(n, j) / factorial(n)
 
     def eigenvalue(self, n: int) -> Fraction:
         return Fraction(-n)
@@ -171,12 +166,12 @@ class Meixner(Family):
         if self.a in (0, 1):
             raise DegeneracyError("Meixner requires a not in {0, 1}")
 
-    def _build_poly(self, n: int) -> Polynomial:
-        neg_x_minus_c = Polynomial((-self.c, -1))
-        out = Polynomial.zero()
-        for j in range(n + 1):
-            out = out + binom_poly(j) * binom_poly(n - j)(neg_x_minus_c) * self.a ** -j
-        return out * ((-1) ** n)
+    def _term(self, n: int, j: int) -> Fraction:
+        """The j-th term of p_n = (c)_n / n! * 2F1(-n, -x; c; 1 - 1/a), which equals
+        the generating-function sum (-1)^n sum_j binom(x, j) binom(-x-c, n-j) a^-j,
+        with (c)_n / (c)_j = (c+j)_{n-j} and (-x)_j = (-1)^j x(x-1)...(x-j+1)."""
+        top = pochhammer(self.c + j, n - j) * pochhammer(-n, j) * (1 / self.a - 1) ** j
+        return top / (factorial(j) * factorial(n))
 
     def eigenvalue(self, n: int) -> Fraction:
         return n * (self.a - 1)
@@ -213,21 +208,11 @@ class Krawtchouk(Family):
         if self.a == 0 or self.a == -1:
             raise DegeneracyError("Krawtchouk requires a not in {0, -1}")
 
-    def _build_poly(self, n: int) -> Polynomial:
+    def _term(self, n: int, j: int) -> Fraction:
         a, N = self.a, self.N
-        ratio = a / (1 + a)
-        out = Polynomial.zero()
         # (-1)^(n+j) (-x)_j = (-1)^n x(x-1)...(x-j+1)
-        for j, ff in enumerate(falling_factorial_polys(n)):
-            scalar = (
-                (-1) ** n
-                * ratio ** (n - j)
-                * pochhammer(-n, j)
-                * pochhammer(N - n, n - j)
-                / factorial(j)
-            )
-            out = out + ff * scalar
-        return out / factorial(n)
+        top = (-1) ** n * (a / (1 + a)) ** (n - j) * pochhammer(-n, j) * pochhammer(N - n, n - j)
+        return top / (factorial(j) * factorial(n))
 
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (1 + self.a)
@@ -263,26 +248,17 @@ class Hahn(Family):
                 f" got {s}"
             )
 
-    def _build_poly(self, n: int) -> Polynomial:
+    def _term(self, n: int, j: int) -> Fraction:
         al, c, N = self.alpha, self.c, self.N
-        out = Polynomial.zero()
-        for j, ff in enumerate(falling_factorial_polys(n)):
-            denom = pochhammer(n + al + c - N + j, n - j)
-            if denom == 0:
-                raise DegeneracyError(
-                    f"Hahn degree-{n} polynomial undefined:"
-                    f" (n+alpha+c-N+{j})_{n - j} = 0"
-                )
-            # (-x)_j = (-1)^j x(x-1)...(x-j+1)
-            scalar = (
-                (-1) ** j
-                * pochhammer(-n, j)
-                * pochhammer(1 - N + j, n - j)
-                * pochhammer(c + j, n - j)
-                / (denom * factorial(j))
+        denom = pochhammer(n + al + c - N + j, n - j)
+        if denom == 0:
+            raise DegeneracyError(
+                f"Hahn degree-{n} polynomial undefined:"
+                f" (n+alpha+c-N+{j})_{n - j} = 0"
             )
-            out = out + ff * scalar
-        return out
+        # (-x)_j = (-1)^j x(x-1)...(x-j+1)
+        top = (-1) ** j * pochhammer(-n, j) * pochhammer(1 - N + j, n - j)
+        return top * pochhammer(c + j, n - j) / (denom * factorial(j))
 
     def eigenvalue(self, n: int) -> Fraction:
         return (n + 1) * (n + self.alpha + self.c - self.N - 1)
@@ -336,14 +312,11 @@ class Laguerre(Family):
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
 
-    def _build_poly(self, n: int) -> Polynomial:
-        out = Polynomial.zero()
-        for j in range(n + 1):
-            scalar = Fraction((-1) ** j, factorial(j)) * binom_scalar(
-                n + self.alpha, n - j
-            )
-            out = out + Polynomial.monomial(j, scalar)
-        return out
+    def _term(self, n: int, j: int) -> Fraction:
+        return Fraction((-1) ** j, factorial(j)) * binom_scalar(n + self.alpha, n - j)
+
+    def _nodes(self, n: int):
+        return (0,) * n
 
     def eigenvalue(self, n: int) -> Fraction:
         return Fraction(-n)
@@ -374,15 +347,16 @@ class Jacobi(Family):
                     f"Jacobi requires {label} not in {{-1, -2, ...}}; got {value}"
                 )
 
-    def _build_poly(self, n: int) -> Polynomial:
+    def _term(self, n: int, j: int) -> Fraction:
+        """The j-th term of p_n = (alpha+1)_n / n! * 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2),
+        which equals 2^-n sum_j binom(n+alpha, j) binom(n+beta, n-j) (x-1)^(n-j) (x+1)^j,
+        with (alpha+1)_n / (alpha+1)_j = (alpha+1+j)_{n-j} and ((1-x)/2)^j = (-1/2)^j (x-1)^j."""
         al, be = self.alpha, self.beta
-        xm1 = Polynomial((-1, 1))
-        xp1 = Polynomial((1, 1))
-        out = Polynomial.zero()
-        for j in range(n + 1):
-            scalar = binom_scalar(n + al, j) * binom_scalar(n + be, n - j)
-            out = out + xm1 ** (n - j) * xp1**j * scalar
-        return out * Fraction(1, 2**n)
+        top = pochhammer(al + 1 + j, n - j) * pochhammer(-n, j) * pochhammer(n + al + be + 1, j)
+        return top * Fraction(-1, 2) ** j / (factorial(j) * factorial(n))
+
+    def _nodes(self, n: int):
+        return (1,) * n
 
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (n + self.alpha + self.beta + 1)
@@ -401,11 +375,9 @@ class Jacobi(Family):
         )
 
     def r_basis(self, j: int) -> Polynomial:
+        """prod_{i<j} ((alpha+i+1)(beta-i) - x); the j = 0 product is 1."""
         al, be = self.alpha, self.beta
-        out = Polynomial.one()
-        for i in range(j):
-            out = out * Polynomial(((al + i + 1) * (be - i), -1))
-        return out
+        return Polynomial.from_roots([(al + i + 1) * (be - i) for i in range(j)], (-1) ** j)
 
     def u_seq(self, j: int, n: RatLike) -> Fraction:
         n = as_fraction(n)
@@ -417,11 +389,9 @@ class Jacobi(Family):
 
 def lattice_product(j: int, u: RatLike) -> Polynomial:
     """(-1)^j * prod_{i=0}^{j-1} (x + i(u - i)); the j = 0 product is 1."""
+    check_at_least("j", j, 0)
     u = as_fraction(u)
-    out = Polynomial.one()
-    for i in range(j):
-        out = out * Polynomial((i * (u - i), 1))
-    return out * ((-1) ** j)
+    return Polynomial.from_roots([-i * (u - i) for i in range(j)], (-1) ** j)
 
 
 def dual_hahn_poly(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> Polynomial:
@@ -430,17 +400,16 @@ def dual_hahn_poly(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> Polynomial
     Expanded in the lattice products s_{j, N-alpha-c}; evaluating at
     n(n+alpha+c-N) recovers Hahn values by the duality identity.
     """
+    check_at_least("k", k, 0)
     alpha, c, N = as_fraction(alpha), as_fraction(c), as_fraction(N)
-    out = Polynomial.zero()
-    for j in range(k + 1):
-        scalar = (
-            pochhammer(-k, j)
-            * pochhammer(1 - N + j, k - j)
-            * pochhammer(c + j, k - j)
-            / factorial(j)
-        )
-        out = out + lattice_product(j, N - alpha - c) * scalar
-    return out
+    u = N - alpha - c
+    # s_{j,u} = (-1)^j prod_{i<j} (x - x_i) on the nodes x_i = -i(u - i)
+    terms = [
+        (-1) ** j * pochhammer(-k, j) * pochhammer(1 - N + j, k - j) * pochhammer(c + j, k - j)
+        / factorial(j)
+        for j in range(k + 1)
+    ]
+    return Polynomial.from_newton(terms, [-i * (u - i) for i in range(k)])
 
 
 def dual_hahn_variant(variant: int, alpha: RatLike, c: RatLike, N: RatLike, k: int) -> Polynomial:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
+
+from .errors import check_at_least
 
 RatLike = Union[Fraction, int, str]
 
@@ -58,6 +60,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, power: int, coeff: RatLike = 1) -> "Polynomial":
+        check_at_least("power", power, 0)
         c = as_fraction(coeff)
         if c == 0:
             return cls()
@@ -65,10 +68,33 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike], lead: RatLike = 1) -> "Polynomial":
-        out = cls((as_fraction(lead),))
-        for r in roots:
-            out = out * cls((-as_fraction(r), 1))
-        return out
+        roots = list(roots)
+        return cls.from_newton([0] * len(roots) + [lead], roots)
+
+    @classmethod
+    def from_newton(cls, scalars: Sequence[RatLike], nodes: Sequence[RatLike]) -> "Polynomial":
+        """sum_j scalars[j] * prod_{i<j} (x - nodes[i]), by nested multiplication.
+
+        Needs len(scalars) - 1 nodes.  With the nodes as b_i / E and the
+        scalars as a_j / D over common denominators, the integer polynomials
+        A_m = a_m and A_j = A_{j+1} * (E x - b_j) + E^(m-j) a_j end at
+        A_0 = D E^m p, so one reduction to Fractions is made, at the end.
+        """
+        ts = [as_fraction(t) for t in scalars]
+        if not ts:
+            return cls()
+        m = len(ts) - 1
+        xs = [as_fraction(nodes[i]) for i in range(m)]
+        D = lcm(*[t.denominator for t in ts])
+        E = lcm(*[x.denominator for x in xs])
+        a = [t.numerator * (D // t.denominator) for t in ts]
+        acc, scale = [a[m]], 1
+        for j in range(m - 1, -1, -1):
+            b = xs[j].numerator * (E // xs[j].denominator)
+            scale *= E
+            acc = [E * hi - b * lo for hi, lo in zip([0] + acc, acc + [0])]
+            acc[0] += scale * a[j]
+        return _from_ints(acc, D * scale)
 
     # -- inspection ----------------------------------------------------------
 
@@ -191,6 +217,7 @@ class Polynomial:
         return _from_ints([c * v**j for j, c in enumerate(nums)], den * v**d)
 
     def derivative(self, times: int = 1) -> "Polynomial":
+        check_at_least("times", times, 0)
         p = self
         for _ in range(times):
             p = Polynomial([i * c for i, c in enumerate(p._coeffs)][1:])
@@ -304,8 +331,7 @@ def _coerce_poly(value):
 
 def pochhammer(start: RatLike, count: int) -> Fraction:
     """Rising factorial (start)_count = start*(start+1)*...*(start+count-1)."""
-    if count < 0:
-        raise ValueError("pochhammer needs a nonnegative count")
+    check_at_least("count", count, 0)
     a = as_fraction(start)
     out = Fraction(1)
     for i in range(count):
@@ -315,29 +341,21 @@ def pochhammer(start: RatLike, count: int) -> Fraction:
 
 def pochhammer_poly(offset: RatLike, count: int) -> Polynomial:
     """Rising factorial in the variable: (x + offset)_count, expanded."""
+    check_at_least("count", count, 0)
     off = as_fraction(offset)
     return Polynomial.from_roots([-(off + i) for i in range(count)])
 
 
-def falling_factorial_polys(count: int) -> list[Polynomial]:
-    """[x(x-1)...(x-j+1) for j = 0..count], each grown from the one before."""
-    out = [Polynomial.one()]
-    for j in range(count):
-        out.append(out[-1] * Polynomial((-j, 1)))
-    return out
-
-
 def falling_factorial_poly(count: int) -> Polynomial:
     """x(x-1)...(x-count+1); the empty product is 1."""
-    return falling_factorial_polys(count)[-1]
+    check_at_least("count", count, 0)
+    return Polynomial.from_roots(range(count))
 
 
 def binom_poly(count: int) -> Polynomial:
     """Binomial-coefficient polynomial binom(x, count)."""
-    if count < 0:
-        raise ValueError("binom_poly needs a nonnegative count")
-    out = falling_factorial_poly(count)
-    return out / factorial(count)
+    check_at_least("count", count, 0)
+    return Polynomial.from_roots(range(count), Fraction(1, factorial(count)))
 
 
 def binom_scalar(top: RatLike, count: int) -> Fraction:

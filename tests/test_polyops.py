@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krallops.families import dual_hahn_poly, lattice_product
 from krallops.polyops import (
     Polynomial,
     antidifference,
@@ -115,6 +116,24 @@ def test_pochhammer_helpers():
     assert binom_scalar(5, 2) == 10
     assert binom_scalar(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binom_poly(2) * 2 == Polynomial.from_roots([0, 1])
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        pytest.param(lambda: Polynomial.monomial(-1, 5), "power", id="monomial"),
+        pytest.param(lambda: Polynomial((1, 2, 3)).derivative(-1), "times", id="derivative"),
+        pytest.param(lambda: falling_factorial_poly(-2), "count", id="falling_factorial_poly"),
+        pytest.param(lambda: pochhammer_poly(1, -2), "count", id="pochhammer_poly"),
+        pytest.param(lambda: pochhammer(1, -2), "count", id="pochhammer"),
+        pytest.param(lambda: binom_poly(-1), "count", id="binom_poly"),
+        pytest.param(lambda: dual_hahn_poly(1, 2, 3, -1), "k", id="dual_hahn_poly"),
+        pytest.param(lambda: lattice_product(-1, 2), "j", id="lattice_product"),
+    ],
+)
+def test_negative_counts_are_usage_errors(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0; got -"):
+        build()
 
 
 def test_binom_poly_difference_ladder():
