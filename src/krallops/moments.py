@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Sequence, Union
+from math import factorial, lcm
+from typing import Callable, Sequence, Union
 
 from .errors import DegeneracyError, NoOrthogonalPolynomialsError, check_at_least
 from .families import (
     Charlier,
+    FAMILY_PARAM_FIELDS,
     Family,
     Hahn,
     Jacobi,
@@ -180,35 +181,54 @@ def solve_fraction(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 # -- orthogonal sequences from moments ---------------------------------------------
 
 
+def _moment_pairing(functional: MomentFunctional, top: int) -> Callable[[Polynomial], Fraction]:
+    """The exact pairing p -> <functional, p> for deg p <= top.
+
+    By linearity it is sum_j c_j mu_j, with each moment computed once by
+    ``moment``, and it equals ``pairing`` Fraction for Fraction.
+    """
+    mus = [moment(functional, j) for j in range(top + 1)]
+    den = lcm(*[mu.denominator for mu in mus])
+    nums = [mu.numerator * (den // mu.denominator) for mu in mus]
+
+    def pair(poly: Polynomial) -> Fraction:
+        cs, d = poly._ints()
+        return Fraction(sum(c * m for c, m in zip(cs, nums)), d * den)
+
+    return pair
+
+
 def hankel_det(functional: MomentFunctional, level: int) -> Fraction:
     """det(mu_{i+j})_{i,j=0..level}."""
-    mus = [moment(functional, j) for j in range(2 * level + 1)]
-    return det_fraction([[mus[i + j] for j in range(level + 1)] for i in range(level + 1)])
+    check_at_least("level", level, 0)
+    pair = _moment_pairing(functional, 2 * level)
+    rows = range(level + 1)
+    return det_fraction([[pair(Polynomial.monomial(i + j)) for j in rows] for i in rows])
 
 
 def orthoseq(functional: MomentFunctional, nmax: int) -> list[Polynomial]:
     """Monic orthogonal polynomials p_0..p_nmax for the functional.
 
-    Existence at each level requires the corresponding Hankel determinant
-    to be nonzero; the first vanishing level raises
+    Built by the three-term recurrence on moments: with h_k = <p_k, p_k>,
+    p_{k+1} = x p_k - (<x p_k, p_k> / h_k) p_k - (h_k / h_{k-1}) p_{k-1}.
+    Since h_k is the ratio of consecutive Hankel determinants, the first
+    h_k = 0 is the first vanishing Hankel determinant, and raises
     NoOrthogonalPolynomialsError with that level recorded.
     """
-    mus = [moment(functional, j) for j in range(2 * nmax + 2)]
-    for level in range(nmax + 1):
-        d = det_fraction([[mus[i + j] for j in range(level + 1)] for i in range(level + 1)])
-        if d == 0:
+    check_at_least("nmax", nmax, 0)
+    pair = _moment_pairing(functional, 2 * nmax + 1)
+    out: list[Polynomial] = []
+    prev, p, h_prev = Polynomial.zero(), Polynomial.one(), Fraction(1)
+    for k in range(nmax + 1):
+        h = pair(p * p)
+        if h == 0:
             raise NoOrthogonalPolynomialsError(
-                f"no orthogonal polynomial of degree {level}:"
-                f" Hankel determinant vanishes",
-                level=level,
+                f"no orthogonal polynomial of degree {k}: Hankel determinant vanishes",
+                level=k,
             )
-    out = [Polynomial.one()]
-    for n in range(1, nmax + 1):
-        # Solve for monic p_n = x^n + sum_{i<n} v_i x^i with <F, p_n x^m> = 0.
-        a = [[mus[i + m] for i in range(n)] for m in range(n)]
-        b = [-mus[n + m] for m in range(n)]
-        v = solve_fraction(a, b)
-        out.append(Polynomial(v + [Fraction(1)]))
+        out.append(p)
+        xp = Polynomial.x() * p
+        prev, p, h_prev = p, xp - p * (pair(xp * p) / h) - prev * (h / h_prev), h
     return out
 
 
@@ -227,11 +247,13 @@ class GramReport:
 def gram_check(functional: MomentFunctional, polys: Sequence[Polynomial]) -> GramReport:
     """Pair every product p_i p_j; off-diagonal must vanish, diagonal must not."""
     n = len(polys)
+    check_at_least("len(polys)", n, 1)
+    pair = _moment_pairing(functional, 2 * max(len(p.coeffs) for p in polys) - 2)
     values = [[Fraction(0)] * n for _ in range(n)]
     failures = []
     for i in range(n):
         for j in range(i, n):
-            v = pairing(functional, polys[i] * polys[j])
+            v = pair(polys[i] * polys[j])
             values[i][j] = values[j][i] = v
             if i != j and v != 0:
                 failures.append((i, j))
@@ -335,7 +357,21 @@ class RatioReport:
         return all(c.ok for c in self.checks)
 
 
-IP_LEMMA_KINDS = ("chxx", "lme1x", "meixner2", "krawtchouk", "hahn1", "hahn2")
+# kind -> (family, transformed functional F, dual family D and ratio r), where
+# <F, p_n> / <F, p_0> = r^n D_k(-n-1) / D_k(-1); the Hahn kinds share a formula.
+_IP_LEMMAS = {
+    "chxx": ("charlier", charlier_transformed, lambda f: (Charlier(-f.a), -1)),
+    "lme1x": ("meixner", meixner1_transformed, lambda f: (Meixner(1 / f.a, 2 - f.c), 1)),
+    "meixner2": ("meixner", meixner2_transformed, lambda f: (Meixner(f.a, 2 - f.c), 1 / f.a)),
+    "krawtchouk": (
+        "krawtchouk",
+        krawtchouk_transformed,
+        lambda f: (Krawtchouk(f.a, -f.N), -1 / (1 + f.a)),
+    ),
+    "hahn1": ("hahn", hahn1_transformed, None),
+    "hahn2": ("hahn", hahn2_transformed, None),
+}
+IP_LEMMA_KINDS = tuple(_IP_LEMMAS)
 
 
 def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
@@ -347,57 +383,21 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
     """
     check_at_least("nmax", nmax, 0)
     check_at_least("k", k, 0)
-    if kind == "chxx":
-        fam = family_from_name("charlier", params)
-        a = fam.a
-        functional = charlier_transformed(a, k)
-        dual = Charlier(-a)
+    if kind not in _IP_LEMMAS:
+        raise ValueError(f"unknown pairing lemma kind {kind!r}")
+    name, build, dual_and_ratio = _IP_LEMMAS[kind]
+    fam = family_from_name(name, params)
+    functional = build(*(getattr(fam, f) for f in FAMILY_PARAM_FIELDS[name]), k)
+    if dual_and_ratio:
+        dual, r = dual_and_ratio(fam)
 
         def expected(n: int) -> Fraction:
-            num = dual.polynomial(k)(Fraction(-n - 1))
-            den = dual.polynomial(k)(Fraction(-1))
-            return (-1) ** n * num / den
+            d = dual.polynomial(k)
+            return r**n * d(Fraction(-n - 1)) / d(Fraction(-1))
 
-    elif kind == "lme1x":
-        fam = family_from_name("meixner", params)
-        a, c = fam.a, fam.c
-        functional = meixner1_transformed(a, c, k)
-        dual = Meixner(1 / a, -c + 2)
-
-        def expected(n: int) -> Fraction:
-            return dual.polynomial(k)(Fraction(-n - 1)) / dual.polynomial(k)(Fraction(-1))
-
-    elif kind == "meixner2":
-        fam = family_from_name("meixner", params)
-        a, c = fam.a, fam.c
-        functional = meixner2_transformed(a, c, k)
-        dual = Meixner(a, -c + 2)
-
-        def expected(n: int) -> Fraction:
-            num = dual.polynomial(k)(Fraction(-n - 1))
-            den = dual.polynomial(k)(Fraction(-1))
-            return num / (a**n * den)
-
-    elif kind == "krawtchouk":
-        fam = family_from_name("krawtchouk", params)
-        a, N = fam.a, fam.N
-        functional = krawtchouk_transformed(a, N, k)
-        dual = Krawtchouk(a, -N)
-
-        def expected(n: int) -> Fraction:
-            num = dual.polynomial(k)(Fraction(-n - 1))
-            den = dual.polynomial(k)(Fraction(-1))
-            return (-1) ** n * num / ((1 + a) ** n * den)
-
-    elif kind in ("hahn1", "hahn2"):
-        fam = family_from_name("hahn", params)
+    else:
         al, c, N = fam.alpha, fam.c, fam.N
         variant = 1 if kind == "hahn1" else 2
-        functional = (
-            hahn1_transformed(al, c, N, k)
-            if variant == 1
-            else hahn2_transformed(al, c, N, k)
-        )
         hstar = dual_hahn_variant(variant, al, c, N, k)
 
         def expected(n: int) -> Fraction:
@@ -411,13 +411,11 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
             extra = pochhammer(N - n, n) if variant == 1 else pochhammer(al + c, n)
             return shared * extra * ratio
 
-    else:
-        raise ValueError(f"unknown pairing lemma kind {kind!r}")
-
-    base_value = pairing(functional, fam.polynomial(0))
+    pair = _moment_pairing(functional, nmax)
+    base_value = pair(fam.polynomial(0))
     checks = []
     for n in range(nmax + 1):
-        lhs = pairing(functional, fam.polynomial(n)) / base_value
+        lhs = pair(fam.polynomial(n)) / base_value
         checks.append(RatioCheck(n=n, lhs=lhs, rhs=expected(n)))
     return RatioReport(kind=kind, checks=checks)
 
@@ -496,6 +494,7 @@ def casorati_check(a: RatLike, k: int, n: int) -> tuple[Fraction, Fraction]:
     """Return (determinant, closed form) for the k x k Casorati matrix
     of Charlier values (p_{n+j-1}(i))_{i,j=1..k}."""
     check_at_least("k", k, 1)
+    check_at_least("n", n, 0)
     a = as_fraction(a)
     fam = Charlier(a)
     matrix = [

@@ -9,17 +9,26 @@ as Horner composition with ``x + offset``, ``apply`` term by term, products
 of linear factors, and the six family sums in their former shapes.
 Every comparison is exact equality of coefficient tuples, and every result
 must be canonical: lowest-terms ``Fraction`` coefficients, no trailing zero.
+
+The moment pipeline is checked the same way.  ``orthoseq``, ``gram_check``,
+``hankel_det`` and ``ip_lemma_check`` pair through moments computed once;
+their former bodies (Hankel determinants plus dense solves, one
+transform-chain ``pairing`` per product, and the six-branch lemma chain) are
+kept below as references, and values and raised errors must match exactly.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from krallops import moments
+from krallops.errors import DegeneracyError, KrallopsError, NoOrthogonalPolynomialsError
 from krallops.families import (
     Charlier,
     Hahn,
@@ -28,7 +37,30 @@ from krallops.families import (
     Laguerre,
     Meixner,
     dual_hahn_poly,
+    dual_hahn_variant,
+    family_from_name,
     lattice_product,
+)
+from krallops.moments import (
+    AddDeltaScaled,
+    ChristoffelBy,
+    GramReport,
+    MomentFunctional,
+    RatioCheck,
+    RatioReport,
+    ShiftBy,
+    charlier_transformed,
+    det_fraction,
+    hahn1_transformed,
+    hahn2_transformed,
+    jacobi_transformed,
+    krawtchouk_transformed,
+    laguerre_transformed,
+    meixner1_transformed,
+    meixner2_transformed,
+    moment,
+    pairing,
+    solve_fraction,
 )
 from krallops.opalg import DifferenceOperator, DifferentialOperator
 from krallops.polyops import (
@@ -347,3 +379,274 @@ def test_lattice_helpers_match_factor_products(u):
         for i in range(j):
             want = ref_mul(want, Polynomial(((fam.alpha + i + 1) * (fam.beta - i), -1)))
         assert fam.r_basis(j).coeffs == want.coeffs
+
+
+# -- moment pipeline: references ---------------------------------------------------
+
+
+def ref_hankel_det(functional: MomentFunctional, level: int) -> Fraction:
+    """det(mu_{i+j})_{i,j=0..level}."""
+    mus = [moment(functional, j) for j in range(2 * level + 1)]
+    return det_fraction([[mus[i + j] for j in range(level + 1)] for i in range(level + 1)])
+
+
+def ref_orthoseq(functional: MomentFunctional, nmax: int) -> list[Polynomial]:
+    """Monic orthogonal polynomials p_0..p_nmax for the functional.
+
+    Existence at each level requires the corresponding Hankel determinant
+    to be nonzero; the first vanishing level raises
+    NoOrthogonalPolynomialsError with that level recorded.
+    """
+    mus = [moment(functional, j) for j in range(2 * nmax + 2)]
+    for level in range(nmax + 1):
+        d = det_fraction([[mus[i + j] for j in range(level + 1)] for i in range(level + 1)])
+        if d == 0:
+            raise NoOrthogonalPolynomialsError(
+                f"no orthogonal polynomial of degree {level}:"
+                f" Hankel determinant vanishes",
+                level=level,
+            )
+    out = [Polynomial.one()]
+    for n in range(1, nmax + 1):
+        # Solve for monic p_n = x^n + sum_{i<n} v_i x^i with <F, p_n x^m> = 0.
+        a = [[mus[i + m] for i in range(n)] for m in range(n)]
+        b = [-mus[n + m] for m in range(n)]
+        v = solve_fraction(a, b)
+        out.append(Polynomial(v + [Fraction(1)]))
+    return out
+
+
+def ref_gram_check(functional: MomentFunctional, polys) -> GramReport:
+    """Pair every product p_i p_j; off-diagonal must vanish, diagonal must not."""
+    n = len(polys)
+    values = [[Fraction(0)] * n for _ in range(n)]
+    failures = []
+    for i in range(n):
+        for j in range(i, n):
+            v = pairing(functional, polys[i] * polys[j])
+            values[i][j] = values[j][i] = v
+            if i != j and v != 0:
+                failures.append((i, j))
+    diagonal = [values[i][i] for i in range(n)]
+    ok = not failures and all(d != 0 for d in diagonal)
+    return GramReport(values=values, ok=ok, failures=failures, diagonal=diagonal)
+
+
+def ref_ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
+    """Check a closed-form pairing lemma as the ratio <F, p_n> / <F, p_0>.
+
+    Ratios are taken so every transcendental unit mass cancels and both
+    sides are exact rationals.  ``params`` carries the family parameters
+    (a, c, N, alpha as appropriate).
+    """
+    if kind == "chxx":
+        fam = family_from_name("charlier", params)
+        a = fam.a
+        functional = charlier_transformed(a, k)
+        dual = Charlier(-a)
+
+        def expected(n: int) -> Fraction:
+            num = dual.polynomial(k)(Fraction(-n - 1))
+            den = dual.polynomial(k)(Fraction(-1))
+            return (-1) ** n * num / den
+
+    elif kind == "lme1x":
+        fam = family_from_name("meixner", params)
+        a, c = fam.a, fam.c
+        functional = meixner1_transformed(a, c, k)
+        dual = Meixner(1 / a, -c + 2)
+
+        def expected(n: int) -> Fraction:
+            return dual.polynomial(k)(Fraction(-n - 1)) / dual.polynomial(k)(Fraction(-1))
+
+    elif kind == "meixner2":
+        fam = family_from_name("meixner", params)
+        a, c = fam.a, fam.c
+        functional = meixner2_transformed(a, c, k)
+        dual = Meixner(a, -c + 2)
+
+        def expected(n: int) -> Fraction:
+            num = dual.polynomial(k)(Fraction(-n - 1))
+            den = dual.polynomial(k)(Fraction(-1))
+            return num / (a**n * den)
+
+    elif kind == "krawtchouk":
+        fam = family_from_name("krawtchouk", params)
+        a, N = fam.a, fam.N
+        functional = krawtchouk_transformed(a, N, k)
+        dual = Krawtchouk(a, -N)
+
+        def expected(n: int) -> Fraction:
+            num = dual.polynomial(k)(Fraction(-n - 1))
+            den = dual.polynomial(k)(Fraction(-1))
+            return (-1) ** n * num / ((1 + a) ** n * den)
+
+    elif kind in ("hahn1", "hahn2"):
+        fam = family_from_name("hahn", params)
+        al, c, N = fam.alpha, fam.c, fam.N
+        variant = 1 if kind == "hahn1" else 2
+        functional = (
+            hahn1_transformed(al, c, N, k)
+            if variant == 1
+            else hahn2_transformed(al, c, N, k)
+        )
+        hstar = dual_hahn_variant(variant, al, c, N, k)
+
+        def expected(n: int) -> Fraction:
+            ratio = hstar(fam.eigenvalue(n)) / hstar(fam.eigenvalue(0))
+            shared = (
+                (-1) ** n
+                * Fraction(factorial(n))
+                * pochhammer(al + 1 - N, n)
+                / pochhammer(al + c - N, 2 * n)
+            )
+            extra = pochhammer(N - n, n) if variant == 1 else pochhammer(al + c, n)
+            return shared * extra * ratio
+
+    else:
+        raise ValueError(f"unknown pairing lemma kind {kind!r}")
+
+    base_value = pairing(functional, fam.polynomial(0))
+    checks = []
+    for n in range(nmax + 1):
+        lhs = pairing(functional, fam.polynomial(n)) / base_value
+        checks.append(RatioCheck(n=n, lhs=lhs, rhs=expected(n)))
+    return RatioReport(kind=kind, checks=checks)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type, message and level of what it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, KrallopsError) as exc:
+        return type(exc), str(exc), getattr(exc, "level", None)
+
+
+def assert_same(fn, ref, *args):
+    got = outcome(fn, *args)
+    # A bare assert would diff the reprs, which are huge when coefficients blow up.
+    if got != outcome(ref, *args):
+        pytest.fail(f"{fn.__name__}{args!r} differs from the reference", pytrace=False)
+    return got
+
+
+# -- moment pipeline: inputs -------------------------------------------------------
+
+NAMED_FUNCTIONALS = [
+    charlier_transformed(Fraction(1, 2), 2),
+    charlier_transformed(Fraction(3, 7), 1),
+    meixner1_transformed(Fraction(1, 3), Fraction(5, 2), 2),
+    meixner2_transformed(Fraction(1, 3), Fraction(5, 2), 1),
+    krawtchouk_transformed(Fraction(1, 2), Fraction(15, 2), 2),
+    hahn1_transformed(Fraction(7, 3), Fraction(5, 2), Fraction(1, 3), 1),
+    hahn2_transformed(Fraction(7, 3), Fraction(5, 2), Fraction(1, 3), 2),
+    laguerre_transformed(Fraction(5, 2), Fraction(2)),
+    jacobi_transformed(Fraction(1, 2), Fraction(2), Fraction(3, 4)),
+]
+
+# (functional, first level whose Hankel determinant vanishes).  For the
+# transformed Charlier functional with k = 1 the level is a - 1.
+VANISHING = [(charlier_transformed(Fraction(a), 1), a - 1) for a in (2, 3, 4)] + [
+    (MomentFunctional(Laguerre(Fraction(0))).transformed(AddDeltaScaled(0, -1)), 0),
+]
+
+IP_PARAMS = {
+    "chxx": [{"a": Fraction(2)}, {"a": Fraction(-5, 3)}],
+    "lme1x": [{"a": Fraction(1, 3), "c": Fraction(5, 2)}, {"a": Fraction(3), "c": Fraction(-1, 2)}],
+    "meixner2": [{"a": Fraction(1, 3), "c": Fraction(5, 2)}, {"a": Fraction(-2), "c": Fraction(4)}],
+    "krawtchouk": [{"a": Fraction(1, 2), "N": Fraction(15, 2)}, {"a": Fraction(-3), "N": Fraction(2)}],
+    "hahn1": [{"alpha": Fraction(7, 3), "c": Fraction(5, 2), "N": Fraction(1, 3)}],
+    "hahn2": [{"alpha": Fraction(7, 3), "c": Fraction(5, 2), "N": Fraction(1, 3)}],
+}
+
+# Inputs with D_k(-1) = 0, so <F, p_0> = 0 and the ratio is undefined.
+IP_DEGENERATE = [
+    ("chxx", {"a": Fraction(1)}),
+    ("lme1x", {"a": Fraction(1, 4), "c": Fraction(5, 4)}),
+    ("meixner2", {"a": Fraction(1, 4), "c": Fraction(5)}),
+    ("krawtchouk", {"a": Fraction(1, 4), "N": Fraction(4)}),
+]
+
+tiny = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def functionals(draw):
+    """A random base family under a random Christoffel/shift/point-mass chain."""
+    cls = draw(st.sampled_from([Charlier, Meixner, Krawtchouk, Hahn, Laguerre, Jacobi]))
+    try:
+        base = cls(*[draw(tiny) for _ in fields(cls)])
+    except DegeneracyError:
+        assume(False)
+    transform = st.one_of(
+        st.builds(ChristoffelBy, st.lists(tiny, min_size=1, max_size=3).map(Polynomial)),
+        st.builds(ShiftBy, tiny),
+        st.builds(AddDeltaScaled, tiny, tiny),
+    )
+    return MomentFunctional(base, tuple(draw(st.lists(transform, max_size=3))))
+
+
+# -- moment pipeline: differential tests ---------------------------------------------
+
+
+@pytest.mark.parametrize("functional", NAMED_FUNCTIONALS)
+def test_orthoseq_and_gram_match_hankel_solve_on_named_functionals(functional):
+    monic = assert_same(moments.orthoseq, ref_orthoseq, functional, 12)
+    assert len(monic) == 13
+    for level in range(5):
+        assert_same(moments.hankel_det, ref_hankel_det, functional, level)
+    report = assert_same(moments.gram_check, ref_gram_check, functional, monic)
+    assert report.ok
+    # Not orthogonal: a monomial basis, a repeated entry and a zero polynomial.
+    skewed = [Polynomial.monomial(j) for j in range(4)] + [monic[2], Polynomial()]
+    report = assert_same(moments.gram_check, ref_gram_check, functional, skewed)
+    assert report.failures and not report.ok
+
+
+@pytest.mark.parametrize("functional, level", VANISHING)
+def test_orthoseq_stops_at_the_first_vanishing_hankel_level(functional, level):
+    err = assert_same(moments.orthoseq, ref_orthoseq, functional, level + 3)
+    assert err[0] is NoOrthogonalPolynomialsError and err[2] == level
+    assert moments.hankel_det(functional, level) == 0
+    if level:
+        assert len(assert_same(moments.orthoseq, ref_orthoseq, functional, level - 1)) == level
+    for lvl in range(level + 3):
+        assert_same(moments.hankel_det, ref_hankel_det, functional, lvl)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functionals(), st.integers(0, 6))
+def test_orthoseq_and_hankel_match_on_random_chains(functional, nmax):
+    assert_same(moments.orthoseq, ref_orthoseq, functional, nmax)
+    assert_same(moments.hankel_det, ref_hankel_det, functional, nmax)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functionals(), st.lists(st.lists(tiny, max_size=4).map(Polynomial), min_size=1, max_size=5))
+def test_gram_check_matches_pairing_per_product_on_random_chains(functional, polys):
+    assert_same(moments.gram_check, ref_gram_check, functional, polys)
+
+
+@pytest.mark.parametrize("kind", moments.IP_LEMMA_KINDS)
+def test_ip_lemma_table_matches_six_branch_chain(kind):
+    for params in IP_PARAMS[kind]:
+        for k in range(4):
+            report = assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, 12)
+            assert report.ok and len(report.checks) == 13
+
+
+@pytest.mark.parametrize("kind, params", IP_DEGENERATE)
+def test_ip_lemma_still_raises_when_the_dual_vanishes_at_minus_one(kind, params):
+    err = assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, 1, 4)
+    assert err[0] is ZeroDivisionError
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(moments.IP_LEMMA_KINDS),
+    st.fixed_dictionaries({"a": tiny, "c": tiny, "N": tiny, "alpha": tiny}),
+    st.integers(0, 3),
+    st.integers(0, 6),
+)
+def test_ip_lemma_table_matches_on_random_parameters(kind, params, k, nmax):
+    assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, nmax)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krallops import moments
 from krallops.dops import catalog
 from krallops.errors import (
     DegeneracyError,
@@ -315,6 +317,37 @@ def test_hankel_solve_satisfies_a_three_term_recurrence():
         )
         assert c != 0
         assert (X * ms[n] - ms[n + 1] - ms[n] * b - ms[n - 1] * c).is_zero()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda f: orthoseq(f, -1), "nmax"),
+        (lambda f: hankel_det(f, -1), "level"),
+        (lambda f: hankel_det(f, -3), "level"),
+        (lambda f: gram_check(f, []), "len(polys)"),
+        (lambda f: casorati_check(F(2), 2, -1), "n"),
+    ],
+    ids=["orthoseq", "hankel_det-1", "hankel_det-3", "gram_check", "casorati_check"],
+)
+def test_moment_checks_reject_empty_ranges_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be >= "):
+        call(charlier_transformed(F(1), 2))
+
+
+def test_orthoseq_and_gram_pair_moments_without_elimination(monkeypatch):
+    # One pipeline: the recurrence on moments, with no Hankel determinant
+    # and no linear solve behind orthoseq or gram_check.
+    def refuse(*args):
+        raise AssertionError("elimination called")
+
+    monkeypatch.setattr(moments, "det_fraction", refuse)
+    monkeypatch.setattr(moments, "solve_fraction", refuse)
+    nc = named("meixner1", {"a": F(1, 3), "c": F(5, 2)}, 2, 8)
+    monic = orthoseq(nc.functional, 8)
+    qs = [nc.construction.q(n) for n in range(9)]
+    assert [q / q.lead for q in qs] == monic
+    assert gram_check(nc.functional, qs).ok
 
 
 # -- point-mass recipe ------------------------------------------------------------------
