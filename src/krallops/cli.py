@@ -84,6 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
         " of orthogonal polynomial sequences q_n = p_n + beta_n p_{n-1}.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="print the cProfile top 25 functions by self time to stderr",
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify-dops", help="check lowering-operator series == closed form")
@@ -122,12 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=10)
     _add_param_flags(p)
 
-    # Accept --json after the subcommand too; SUPPRESS keeps a post-command
-    # omission from clobbering a pre-command --json.
+    # Accept --json and --profile after the subcommand too; SUPPRESS keeps a
+    # post-command omission from clobbering a pre-command flag.
     for child in sub.choices.values():
-        child.add_argument(
-            "--json", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-        )
+        for flag in ("--json", "--profile"):
+            child.add_argument(
+                flag, action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS
+            )
 
     return parser
 
@@ -383,15 +389,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
+    profiler = None
+    if args.profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
     start = time.monotonic()
     try:
-        report, lines, ok = _RUNNERS[args.subcommand](args)
+        if profiler is None:
+            report, lines, ok = _RUNNERS[args.subcommand](args)
+        else:
+            report, lines, ok = profiler.runcall(_RUNNERS[args.subcommand], args)
     except (HypothesisError, DegeneracyError, NoOrthogonalPolynomialsError) as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (ConstructionError, OperatorError, KrallopsError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if profiler is not None:
+            import pstats
+
+            pstats.Stats(profiler, stream=sys.stderr).sort_stats("tottime").print_stats(25)
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     if args.json:

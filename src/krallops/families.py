@@ -16,11 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import repeat
 
 from .errors import DegeneracyError, check_at_least
 from .opalg import DifferenceOperator, DifferentialOperator, Operator
-from .polyops import Polynomial, RatLike, as_fraction, binom_scalar, fraction_to_str, pochhammer
+from .polyops import (
+    Polynomial,
+    RatLike,
+    _running,
+    as_fraction,
+    fraction_to_str,
+    pochhammer,
+    rising_prefix,
+    rising_suffix,
+)
 
 
 class Family:
@@ -29,16 +38,19 @@ class Family:
     kind: str  # "difference" or "differential"
 
     def polynomial(self, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError("polynomial degree must be nonnegative")
+        check_at_least("n", n, 0)
         return _classical_poly(self, n)
 
     def _build_poly(self, n: int) -> Polynomial:
         """p_n = sum_j t_j(n) prod_{i<j} (x - x_i), by nested multiplication."""
-        return Polynomial.from_newton([self._term(n, j) for j in range(n + 1)], self._nodes(n))
+        return Polynomial.from_newton(self._scalars(n), self._nodes(n))
 
-    def _term(self, n: int, j: int) -> Fraction:
-        """The Newton coefficient t_j(n) of p_n."""
+    def _scalars(self, n: int) -> list[Fraction]:
+        """The Newton coefficients t_0(n)..t_n(n) of p_n.
+
+        Each family forms them from running products (rising factorials,
+        factorials and powers) in O(n) integer products, with one reduction
+        to a Fraction per coefficient."""
         raise NotImplementedError
 
     def _nodes(self, n: int):
@@ -137,8 +149,12 @@ class Charlier(Family):
         if self.a == 0:
             raise DegeneracyError("Charlier requires a != 0")
 
-    def _term(self, n: int, j: int) -> Fraction:
-        return (-self.a) ** (n - j) * binom_scalar(n, j) / factorial(n)
+    def _scalars(self, n: int) -> list[Fraction]:
+        # t_j = (-a)^(n-j) / (j! (n-j)!)
+        fact = _factorials(n)
+        top = _powers(-self.a.numerator, n)
+        bot = _powers(self.a.denominator, n)
+        return [Fraction(top[n - j], bot[n - j] * fact[j] * fact[n - j]) for j in range(n + 1)]
 
     def eigenvalue(self, n: int) -> Fraction:
         return Fraction(-n)
@@ -166,12 +182,21 @@ class Meixner(Family):
         if self.a in (0, 1):
             raise DegeneracyError("Meixner requires a not in {0, 1}")
 
-    def _term(self, n: int, j: int) -> Fraction:
-        """The j-th term of p_n = (c)_n / n! * 2F1(-n, -x; c; 1 - 1/a), which equals
+    def _scalars(self, n: int) -> list[Fraction]:
+        """The terms of p_n = (c)_n / n! * 2F1(-n, -x; c; 1 - 1/a), which equals
         the generating-function sum (-1)^n sum_j binom(x, j) binom(-x-c, n-j) a^-j,
-        with (c)_n / (c)_j = (c+j)_{n-j} and (-x)_j = (-1)^j x(x-1)...(x-j+1)."""
-        top = pochhammer(self.c + j, n - j) * pochhammer(-n, j) * (1 / self.a - 1) ** j
-        return top / (factorial(j) * factorial(n))
+        with (c)_n / (c)_j = (c+j)_{n-j}, (-x)_j = (-1)^j x(x-1)...(x-j+1) and
+        (-n)_j / n! = (-1)^j / (n-j)!:  t_j = (c+j)_{n-j} (1 - 1/a)^j / (j! (n-j)!)."""
+        rise, q = rising_suffix(self.c, n)
+        r = 1 - 1 / self.a
+        fact = _factorials(n)
+        top = _powers(r.numerator, n)
+        bot = _powers(r.denominator, n)
+        qs = _powers(q, n)
+        return [
+            Fraction(rise[j] * top[j], qs[n - j] * bot[j] * fact[j] * fact[n - j])
+            for j in range(n + 1)
+        ]
 
     def eigenvalue(self, n: int) -> Fraction:
         return n * (self.a - 1)
@@ -208,11 +233,18 @@ class Krawtchouk(Family):
         if self.a == 0 or self.a == -1:
             raise DegeneracyError("Krawtchouk requires a not in {0, -1}")
 
-    def _term(self, n: int, j: int) -> Fraction:
-        a, N = self.a, self.N
-        # (-1)^(n+j) (-x)_j = (-1)^n x(x-1)...(x-j+1)
-        top = (-1) ** n * (a / (1 + a)) ** (n - j) * pochhammer(-n, j) * pochhammer(N - n, n - j)
-        return top / (factorial(j) * factorial(n))
+    def _scalars(self, n: int) -> list[Fraction]:
+        # t_j = (-1)^n (a/(1+a))^(n-j) (-n)_j (N-n)_{n-j} / (j! n!), from
+        # (-1)^(n+j) (-x)_j = (-1)^n x(x-1)...(x-j+1); with m = n - j and
+        # (-n)_j / n! = (-1)^j / m!, t_j = (-a/(1+a))^m (N-n)_m / (j! m!).
+        rise, q = rising_prefix(self.N - n, n)
+        r = -self.a / (1 + self.a)
+        fact = _factorials(n)
+        top = _powers(r.numerator, n)
+        bot = _powers(r.denominator * q, n)
+        return [
+            Fraction(top[m] * rise[m], bot[m] * fact[n - m] * fact[m]) for m in range(n, -1, -1)
+        ]
 
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (1 + self.a)
@@ -248,17 +280,20 @@ class Hahn(Family):
                 f" got {s}"
             )
 
-    def _term(self, n: int, j: int) -> Fraction:
+    def _scalars(self, n: int) -> list[Fraction]:
+        # t_j = (-1)^j (-n)_j (1-N+j)_{n-j} (c+j)_{n-j} / ((n+alpha+c-N+j)_{n-j} j!),
+        # from (-x)_j = (-1)^j x(x-1)...(x-j+1); (-1)^j (-n)_j / j! = binom(n, j).
         al, c, N = self.alpha, self.c, self.N
-        denom = pochhammer(n + al + c - N + j, n - j)
-        if denom == 0:
-            raise DegeneracyError(
-                f"Hahn degree-{n} polynomial undefined:"
-                f" (n+alpha+c-N+{j})_{n - j} = 0"
-            )
-        # (-x)_j = (-1)^j x(x-1)...(x-j+1)
-        top = (-1) ** j * pochhammer(-n, j) * pochhammer(1 - N + j, n - j)
-        return top * pochhammer(c + j, n - j) / (denom * factorial(j))
+        denom, q = rising_suffix(n + al + c - N, n)
+        for j, d in enumerate(denom):
+            if d == 0:
+                raise DegeneracyError(
+                    f"Hahn degree-{n} polynomial undefined:"
+                    f" (n+alpha+c-N+{j})_{n - j} = 0"
+                )
+        nums, dens = binomial_rising_terms(n, 1 - N, c)
+        qs = _powers(q, n)
+        return [Fraction(nums[j] * qs[n - j], dens[j] * denom[j]) for j in range(n + 1)]
 
     def eigenvalue(self, n: int) -> Fraction:
         return (n + 1) * (n + self.alpha + self.c - self.N - 1)
@@ -312,8 +347,14 @@ class Laguerre(Family):
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
 
-    def _term(self, n: int, j: int) -> Fraction:
-        return Fraction((-1) ** j, factorial(j)) * binom_scalar(n + self.alpha, n - j)
+    def _scalars(self, n: int) -> list[Fraction]:
+        # t_j = (-1)^j / j! * binom(n+alpha, n-j) = (-1)^j (alpha+1+j)_{n-j} / (j! (n-j)!)
+        rise, q = rising_suffix(self.alpha + 1, n)
+        fact = _factorials(n)
+        qs = _powers(q, n)
+        return [
+            Fraction((-1) ** j * rise[j], qs[n - j] * fact[j] * fact[n - j]) for j in range(n + 1)
+        ]
 
     def _nodes(self, n: int):
         return (0,) * n
@@ -347,13 +388,22 @@ class Jacobi(Family):
                     f"Jacobi requires {label} not in {{-1, -2, ...}}; got {value}"
                 )
 
-    def _term(self, n: int, j: int) -> Fraction:
-        """The j-th term of p_n = (alpha+1)_n / n! * 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2),
+    def _scalars(self, n: int) -> list[Fraction]:
+        """The terms of p_n = (alpha+1)_n / n! * 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2),
         which equals 2^-n sum_j binom(n+alpha, j) binom(n+beta, n-j) (x-1)^(n-j) (x+1)^j,
-        with (alpha+1)_n / (alpha+1)_j = (alpha+1+j)_{n-j} and ((1-x)/2)^j = (-1/2)^j (x-1)^j."""
+        with (alpha+1)_n / (alpha+1)_j = (alpha+1+j)_{n-j}, ((1-x)/2)^j = (-1/2)^j (x-1)^j
+        and (-n)_j / n! = (-1)^j / (n-j)!:
+        t_j = (alpha+1+j)_{n-j} (n+alpha+beta+1)_j / (2^j j! (n-j)!)."""
         al, be = self.alpha, self.beta
-        top = pochhammer(al + 1 + j, n - j) * pochhammer(-n, j) * pochhammer(n + al + be + 1, j)
-        return top * Fraction(-1, 2) ** j / (factorial(j) * factorial(n))
+        rise, q = rising_suffix(al + 1, n)
+        low, r = rising_prefix(n + al + be + 1, n)
+        fact = _factorials(n)
+        qs = _powers(q, n)
+        rs = _powers(2 * r, n)
+        return [
+            Fraction(rise[j] * low[j], qs[n - j] * rs[j] * fact[j] * fact[n - j])
+            for j in range(n + 1)
+        ]
 
     def _nodes(self, n: int):
         return (1,) * n
@@ -384,6 +434,30 @@ class Jacobi(Family):
         return pochhammer(n + self.alpha, j) * pochhammer(n + self.beta - j, j)
 
 
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!] as a running product."""
+    return _running(range(1, n + 1))
+
+
+def _powers(base: int, n: int) -> list[int]:
+    """[1, base, ..., base^n] as a running product."""
+    return _running(repeat(base, n))
+
+
+def binomial_rising_terms(k: int, u: RatLike, v: RatLike) -> tuple[list[int], list[int]]:
+    """binom(k, j) (u+j)_{k-j} (v+j)_{k-j} = nums[j] / dens[j] for j = 0..k.
+
+    binom(k, j) = (-1)^j (-k)_j / j!.  O(k) integer products and no division,
+    so a vanishing rising factor gives an exact zero term."""
+    rise_u, qu = rising_suffix(u, k)
+    rise_v, qv = rising_suffix(v, k)
+    fact = _factorials(k)
+    qs = _powers(qu * qv, k)
+    nums = [fact[k] * rise_u[j] * rise_v[j] for j in range(k + 1)]
+    dens = [fact[j] * fact[k - j] * qs[k - j] for j in range(k + 1)]
+    return nums, dens
+
+
 # -- quadratic-lattice helpers and dual Hahn polynomials ---------------------------
 
 
@@ -403,12 +477,9 @@ def dual_hahn_poly(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> Polynomial
     check_at_least("k", k, 0)
     alpha, c, N = as_fraction(alpha), as_fraction(c), as_fraction(N)
     u = N - alpha - c
-    # s_{j,u} = (-1)^j prod_{i<j} (x - x_i) on the nodes x_i = -i(u - i)
-    terms = [
-        (-1) ** j * pochhammer(-k, j) * pochhammer(1 - N + j, k - j) * pochhammer(c + j, k - j)
-        / factorial(j)
-        for j in range(k + 1)
-    ]
+    # s_{j,u} = (-1)^j prod_{i<j} (x - x_i) on the nodes x_i = -i(u - i), and
+    # s_{j,u} has the coefficient (-k)_j (1-N+j)_{k-j} (c+j)_{k-j} / j!.
+    terms = [Fraction(a, b) for a, b in zip(*binomial_rising_terms(k, 1 - N, c))]
     return Polynomial.from_newton(terms, [-i * (u - i) for i in range(k)])
 
 

@@ -39,6 +39,7 @@ from .families import (
     Krawtchouk,
     Laguerre,
     Meixner,
+    binomial_rising_terms,
     expand_in_family_basis,
 )
 from .opalg import (
@@ -73,15 +74,15 @@ class KrallConstruction:
     eigval_fn: Optional[Callable[[int], Fraction]] = None
     dop: Optional[DOperator] = None
     seed_degree: Optional[int] = None
+    # q_n by n, built once: a frame that shares gamma_fn and eps_fn shares it.
+    q_cache: dict[int, Polynomial] = field(default_factory=dict, compare=False, repr=False)
 
     def gamma(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("gamma is defined for n >= 1")
+        check_at_least("n", n, 1)
         return self.gamma_fn(n)
 
     def beta(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("beta is defined for n >= 1")
+        check_at_least("n", n, 1)
         g = self.gamma_fn(n)
         if g == 0:
             raise HypothesisError(
@@ -95,9 +96,13 @@ class KrallConstruction:
         return self.eigval_fn(n)
 
     def q(self, n: int) -> Polynomial:
-        if n == 0:
-            return self.family.polynomial(0)
-        return self.family.polynomial(n) + self.family.polynomial(n - 1) * self.beta(n)
+        qn = self.q_cache.get(n)
+        if qn is None:
+            qn = self.family.polynomial(n)
+            if n:
+                qn = qn + self.family.polynomial(n - 1) * self.beta(n)
+            self.q_cache[n] = qn
+        return qn
 
     def q_sequence(self, nmax: int) -> list[Polynomial]:
         return [self.q(n) for n in range(nmax + 1)]
@@ -272,6 +277,7 @@ def negated_frame(kc: KrallConstruction) -> KrallConstruction:
         eigval_fn=(lambda n, f=kc.eigval_fn: -f(n)) if kc.eigval_fn else None,
         dop=kc.dop,
         seed_degree=kc.seed_degree,
+        q_cache=kc.q_cache,
     )
 
 
@@ -440,11 +446,9 @@ class _Type2Recipe(NamedTuple):
                     f"{kind}: parameter exclusion violated: {name} = {v} is a"
                     " nonpositive integer"
                 )
-        u, v = self.pochhammer_pair(**values)
-        w = [
-            pochhammer(-k, j) * pochhammer(u + j, k - j) * pochhammer(v + j, k - j) / factorial(j)
-            for j in range(k + 1)
-        ]
+        nums, dens = binomial_rising_terms(k, *self.pochhammer_pair(**values))
+        # (-k)_j / j! = (-1)^j binom(k, j)
+        w = [Fraction((-1) ** j * a, b) for j, (a, b) in enumerate(zip(nums, dens))]
         dop = catalog(fam)[self.dop_index]
         kc = construct_type2(fam, dop, w, nmax, label=_label(kind, values, f"k={k}"))
         if self.negate:

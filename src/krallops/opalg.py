@@ -10,7 +10,7 @@ rationals.
 
 from __future__ import annotations
 
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import OperatorError
@@ -21,7 +21,6 @@ from .polyops import (
     _from_ints,
     _taylor_shift,
     as_fraction,
-    binom_scalar,
 )
 
 
@@ -31,15 +30,23 @@ def _as_coeff_poly(value) -> Polynomial:
     return Polynomial((as_fraction(value),))
 
 
-def _sum_of_products(pairs: list[tuple[Polynomial, list[int]]], den: int) -> Polynomial:
-    """sum_i f_i * (g_i / den) for nonzero polynomials f_i and integer lists g_i.
+def _common_ints(polys: Iterable[Polynomial]) -> tuple[list[list[int]], int]:
+    """Integer numerators of each polynomial over one lcm of all their denominators."""
+    ints = [p._ints() for p in polys]
+    den = lcm(*[d for _, d in ints])
+    return [[c * (den // d) for c in nums] for nums, d in ints], den
 
-    Each f_i is brought to integers, scaled to the lcm of their
-    denominators and convolved with g_i; the sum is normalised once."""
-    ints = [f._ints() for f, _ in pairs]
-    common = lcm(*[df for _, df in ints])
+
+def _sum_of_products(
+    pairs: list[tuple[tuple[list[int], int], list[int]]], den: int
+) -> Polynomial:
+    """sum_i (fn_i / df_i) * (g_i / den) for integer lists fn_i (nonempty), g_i.
+
+    Each fn_i is scaled to the lcm of the df_i and convolved with g_i; the
+    sum is normalised once."""
+    common = lcm(*[df for (_, df), _ in pairs])
     acc: list[int] = []
-    for (fn, df), (_, g) in zip(ints, pairs):
+    for (fn, df), g in pairs:
         scale = common // df
         prod = _convolve([c * scale for c in fn], g)
         if len(prod) > len(acc):
@@ -113,18 +120,24 @@ class DifferenceOperator:
             qs = list(q)
             if shift:
                 _taylor_shift(qs, shift)
-            pairs.append((f, qs))
+            pairs.append((f._ints(), qs))
         return _sum_of_products(pairs, den)
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.
-        acc: dict[int, Polynomial] = {}
+        # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.  The g
+        # share one denominator, so each key's products sum in integers.
+        gs, den = _common_ints(other._terms.values())
+        by_key: dict[int, list] = {}
         for a, f in self._terms.items():
-            for b, g in other._terms.items():
-                key = a + b
-                contrib = f * g.shift_arg(a)
-                acc[key] = acc[key] + contrib if key in acc else contrib
-        return DifferenceOperator(acc)
+            fi = f._ints()
+            for b, g in zip(other._terms, gs):
+                shifted = list(g)
+                if a:
+                    _taylor_shift(shifted, a)
+                by_key.setdefault(a + b, []).append((fi, shifted))
+        return DifferenceOperator(
+            {key: _sum_of_products(pairs, den) for key, pairs in by_key.items()}
+        )
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         if not isinstance(other, DifferenceOperator):
@@ -210,26 +223,26 @@ class DifferentialOperator:
             if not d:
                 break
             if not f.is_zero():
-                pairs.append((f, d))
+                pairs.append((f._ints(), d))
             d = [j * d[j] for j in range(1, len(d))]
         return _sum_of_products(pairs, den)
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).
-        size = (len(self._terms) - 1) + (len(other._terms) - 1) + 1 if self._terms and other._terms else 0
-        acc = [Polynomial.zero() for _ in range(max(size, 0))]
+        # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).  The g share
+        # one denominator, so each order's products sum in integers.
+        gs, den = _common_ints(other._terms)
+        acc: list[list] = [[] for _ in range(len(self._terms) + len(gs))]
         for i, f in enumerate(self._terms):
             if f.is_zero():
                 continue
-            for j, g in enumerate(other._terms):
-                if g.is_zero():
-                    continue
-                gm = g
+            fi = f._ints()
+            for j, gm in enumerate(gs):
                 for m in range(i + 1):
-                    if not gm.is_zero():
-                        acc[i + j - m] = acc[i + j - m] + binom_scalar(i, m) * f * gm
-                    gm = gm.derivative()
-        return DifferentialOperator(acc)
+                    if not gm:
+                        break
+                    acc[i + j - m].append((fi, [comb(i, m) * c for c in gm]))
+                    gm = [e * gm[e] for e in range(1, len(gm))]
+        return DifferentialOperator([_sum_of_products(pairs, den) for pairs in acc])
 
     def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         if not isinstance(other, DifferentialOperator):

@@ -9,7 +9,9 @@ power with trailing zeros stripped, and every operation is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import check_at_least
@@ -172,8 +174,7 @@ class Polynomial:
         return Polynomial([a / c for a in self._coeffs])
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
+        check_at_least("exponent", exponent, 0)
         out = Polynomial.one()
         base = self
         e = exponent
@@ -330,13 +331,38 @@ def _coerce_poly(value):
 
 
 def pochhammer(start: RatLike, count: int) -> Fraction:
-    """Rising factorial (start)_count = start*(start+1)*...*(start+count-1)."""
+    """Rising factorial (start)_count = start*(start+1)*...*(start+count-1).
+
+    With start = p/q this is prod_{i<count} (p + i q) / q^count: the
+    product is taken in integers and reduced once."""
     check_at_least("count", count, 0)
+    nums, q = rising_prefix(start, count)
+    return Fraction(nums[count], q**count)
+
+
+def _running(factors: Iterable[int]) -> list[int]:
+    """[1, f_0, f_0 f_1, ...]: the prefix products of the integer factors."""
+    return list(accumulate(factors, mul, initial=1))
+
+
+def rising_prefix(start: RatLike, n: int) -> tuple[list[int], int]:
+    """(start)_j for j = 0..n, as integers N_j and q with (start)_j = N_j / q^j.
+
+    A running product that never divides, so a vanishing factor zeroes the
+    later entries exactly and nothing else."""
+    check_at_least("n", n, 0)
     a = as_fraction(start)
-    out = Fraction(1)
-    for i in range(count):
-        out *= a + i
-    return out
+    p, q = a.numerator, a.denominator
+    return _running(p + i * q for i in range(n)), q
+
+
+def rising_suffix(start: RatLike, n: int) -> tuple[list[int], int]:
+    """(start + j)_{n-j} for j = 0..n, as integers M_j and q with
+    (start + j)_{n-j} = M_j / q^(n-j); a running product from j = n down."""
+    check_at_least("n", n, 0)
+    a = as_fraction(start)
+    p, q = a.numerator, a.denominator
+    return _running(p + i * q for i in range(n - 1, -1, -1))[::-1], q
 
 
 def pochhammer_poly(offset: RatLike, count: int) -> Polynomial:

@@ -135,6 +135,35 @@ def test_usage_errors_exit_two(capsys):
         assert captured.out == "", argv
 
 
+def test_profile_flag_writes_only_to_stderr(capsys):
+    argv = ["krall", "--theorem", "laguerre", "--alpha", "2", "--mass", "1", "--nmax", "6",
+            "--ortho", "--band"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    for profiled_argv in (["--profile", *argv], [*argv, "--profile"]):
+        assert cli.main(profiled_argv) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain.out and plain.err == ""
+        assert "Ordered by: internal time" in profiled.err and "tottime" in profiled.err
+    code, doc = run_json(capsys, ["--json", *argv])
+    code_p, doc_p = run_json(capsys, ["--json", "--profile", *argv])
+    assert code == code_p == 0
+    assert json.dumps(doc["report"], sort_keys=True) == json.dumps(doc_p["report"], sort_keys=True)
+    assert doc.keys() == doc_p.keys()
+    # cProfile is imported only for --profile.
+    probe = (
+        "import sys; from krallops.cli import main; "
+        f"main({argv!r}); assert 'cProfile' not in sys.modules; "
+        f"main({['--profile', *argv]!r}); assert 'cProfile' in sys.modules"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(krallops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "krallops" in capsys.readouterr().out

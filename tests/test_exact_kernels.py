@@ -15,12 +15,20 @@ The moment pipeline is checked the same way.  ``orthoseq``, ``gram_check``,
 their former bodies (Hankel determinants plus dense solves, one
 transform-chain ``pairing`` per product, and the six-branch lemma chain) are
 kept below as references, and values and raised errors must match exactly.
+
+So are the family Newton scalars and operator composition.  ``pochhammer``
+now multiplies in integers; each family builds its scalars t_0(n)..t_n(n)
+from running integer products; both ``compose`` kinds sum their products on
+integer numerators.  The references are the former ``pochhammer``, the six
+per-term ``_term(n, j)`` bodies and the two ``compose`` bodies on
+``Polynomial`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 from math import factorial, gcd
 
 import pytest
@@ -28,7 +36,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krallops import moments
-from krallops.errors import DegeneracyError, KrallopsError, NoOrthogonalPolynomialsError
+from krallops.errors import (
+    DegeneracyError,
+    KrallopsError,
+    NoOrthogonalPolynomialsError,
+    check_at_least,
+)
 from krallops.families import (
     Charlier,
     Hahn,
@@ -36,6 +49,7 @@ from krallops.families import (
     Krawtchouk,
     Laguerre,
     Meixner,
+    binomial_rising_terms,
     dual_hahn_poly,
     dual_hahn_variant,
     family_from_name,
@@ -650,3 +664,224 @@ def test_ip_lemma_still_raises_when_the_dual_vanishes_at_minus_one(kind, params)
 )
 def test_ip_lemma_table_matches_on_random_parameters(kind, params, k, nmax):
     assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, nmax)
+
+
+# -- family scalars and compose: references ------------------------------------------
+
+
+def ref_pochhammer(start, count: int) -> Fraction:
+    """Rising factorial (start)_count = start*(start+1)*...*(start+count-1)."""
+    check_at_least("count", count, 0)
+    a = as_fraction(start)
+    out = Fraction(1)
+    for i in range(count):
+        out *= a + i
+    return out
+
+
+def ref_binom_scalar(top, count: int) -> Fraction:
+    """binom(top, count) for rational top and nonnegative integer count."""
+    t = as_fraction(top)
+    return ref_pochhammer(t - count + 1, count) / factorial(count)
+
+
+def ref_term(fam, n: int, j: int) -> Fraction:
+    """The Newton coefficient t_j(n) of p_n: the former ``_term`` of each family."""
+    if isinstance(fam, Charlier):
+        return (-fam.a) ** (n - j) * ref_binom_scalar(n, j) / factorial(n)
+    if isinstance(fam, Meixner):
+        top = ref_pochhammer(fam.c + j, n - j) * ref_pochhammer(-n, j) * (1 / fam.a - 1) ** j
+        return top / (factorial(j) * factorial(n))
+    if isinstance(fam, Krawtchouk):
+        a, N = fam.a, fam.N
+        # (-1)^(n+j) (-x)_j = (-1)^n x(x-1)...(x-j+1)
+        top = (
+            (-1) ** n * (a / (1 + a)) ** (n - j)
+            * ref_pochhammer(-n, j) * ref_pochhammer(N - n, n - j)
+        )
+        return top / (factorial(j) * factorial(n))
+    if isinstance(fam, Hahn):
+        al, c, N = fam.alpha, fam.c, fam.N
+        denom = ref_pochhammer(n + al + c - N + j, n - j)
+        if denom == 0:
+            raise DegeneracyError(
+                f"Hahn degree-{n} polynomial undefined:"
+                f" (n+alpha+c-N+{j})_{n - j} = 0"
+            )
+        # (-x)_j = (-1)^j x(x-1)...(x-j+1)
+        top = (-1) ** j * ref_pochhammer(-n, j) * ref_pochhammer(1 - N + j, n - j)
+        return top * ref_pochhammer(c + j, n - j) / (denom * factorial(j))
+    if isinstance(fam, Laguerre):
+        return Fraction((-1) ** j, factorial(j)) * ref_binom_scalar(n + fam.alpha, n - j)
+    al, be = fam.alpha, fam.beta
+    top = (
+        ref_pochhammer(al + 1 + j, n - j) * ref_pochhammer(-n, j)
+        * ref_pochhammer(n + al + be + 1, j)
+    )
+    return top * Fraction(-1, 2) ** j / (factorial(j) * factorial(n))
+
+
+def ref_scalars(fam, n: int) -> list[Fraction]:
+    return [ref_term(fam, n, j) for j in range(n + 1)]
+
+
+def ref_type2_weights(k: int, u, v) -> list[Fraction]:
+    """The former second-kind seed weights (-k)_j (u+j)_{k-j} (v+j)_{k-j} / j!."""
+    return [
+        ref_pochhammer(-k, j) * ref_pochhammer(u + j, k - j) * ref_pochhammer(v + j, k - j)
+        / factorial(j)
+        for j in range(k + 1)
+    ]
+
+
+def ref_difference_compose(left: DifferenceOperator, right: DifferenceOperator):
+    # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.
+    acc = {}
+    for a, f in left.terms.items():
+        for b, g in right.terms.items():
+            key = a + b
+            contrib = f * g.shift_arg(a)
+            acc[key] = acc[key] + contrib if key in acc else contrib
+    return DifferenceOperator(acc)
+
+
+def ref_differential_compose(left: DifferentialOperator, right: DifferentialOperator):
+    # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).
+    size = (len(left.terms) - 1) + (len(right.terms) - 1) + 1 if left.terms and right.terms else 0
+    acc = [Polynomial.zero() for _ in range(max(size, 0))]
+    for i, f in enumerate(left.terms):
+        if f.is_zero():
+            continue
+        for j, g in enumerate(right.terms):
+            if g.is_zero():
+                continue
+            gm = g
+            for m in range(i + 1):
+                if not gm.is_zero():
+                    acc[i + j - m] = acc[i + j - m] + ref_binom_scalar(i, m) * f * gm
+                gm = gm.derivative()
+    return DifferentialOperator(acc)
+
+
+def unchecked_hahn(alpha, c, N) -> Hahn:
+    """A Hahn family the constructor would refuse: alpha + c - N a negative integer."""
+    fam = object.__new__(Hahn)
+    for name, value in (("alpha", alpha), ("c", c), ("N", N)):
+        object.__setattr__(fam, name, Fraction(value))
+    return fam
+
+
+# -- family scalars and compose: differential tests -----------------------------------
+
+# Parameters where a rising factor in t_j(n) vanishes: Meixner with c a
+# nonpositive integer, Krawtchouk with integer N <= n, and Hahn families whose
+# denominator (n+alpha+c-N+j)_{n-j} is zero for some n.
+DEGENERATE_FAMILIES = [
+    Meixner(Fraction(1, 3), Fraction(0)),
+    Meixner(Fraction(-2), Fraction(-3)),
+    Meixner(Fraction(5, 2), Fraction(-17)),
+    Krawtchouk(Fraction(1, 2), Fraction(1)),
+    Krawtchouk(Fraction(-3, 7), Fraction(5)),
+    Krawtchouk(Fraction(2), Fraction(23)),
+    Hahn(Fraction(3), Fraction(2), Fraction(5)),
+    Hahn(Fraction(4), Fraction(-3), Fraction(5, 2)),
+    unchecked_hahn(Fraction(1, 2), Fraction(3, 2), Fraction(7)),
+    unchecked_hahn(Fraction(-9), Fraction(2), Fraction(5)),
+]
+
+rationals = st.one_of(st.integers(-12, 12).map(Fraction), small, big)
+
+
+@st.composite
+def families_at(draw):
+    cls = draw(st.sampled_from([Charlier, Meixner, Krawtchouk, Hahn, Laguerre, Jacobi]))
+    try:
+        fam = cls(*[draw(rationals) for _ in fields(cls)])
+    except DegeneracyError:
+        assume(False)
+    return fam, draw(st.integers(0, 40))
+
+
+def test_pochhammer_edges_match_fraction_products():
+    for start in (0, -3, Fraction(-7, 2), Fraction(10**30 + 1, 3**20)):
+        for count in range(12):
+            assert pochhammer(start, count) == ref_pochhammer(start, count)
+    with pytest.raises(ValueError, match="^count must be >= 0; got -1$"):
+        pochhammer(1, -1)
+
+
+@given(rationals, st.integers(0, 40))
+@settings(max_examples=300)
+def test_pochhammer_matches_fraction_products(start, count):
+    got = pochhammer(start, count)
+    assert type(got) is Fraction and got == ref_pochhammer(start, count)
+
+
+@pytest.mark.parametrize("fam", DEGENERATE_FAMILIES, ids=repr)
+def test_family_scalars_match_terms_where_factors_vanish(fam):
+    vanished, raised = 0, []
+    for n in range(41):
+        got = assert_same(fam._scalars, partial(ref_scalars, fam), n)
+        if isinstance(got, list):
+            vanished += 0 in got
+            assert fam.polynomial(n) == Polynomial.from_newton(got, fam._nodes(n))
+        else:
+            raised.append(got)
+    if raised:
+        first = -(fam.alpha + fam.c - fam.N) // 2 + 1
+        assert raised[0] == (
+            DegeneracyError,
+            f"Hahn degree-{first} polynomial undefined: (n+alpha+c-N+0)_{first} = 0",
+            None,
+        )
+    else:
+        assert vanished
+
+
+@given(families_at())
+@settings(max_examples=300, deadline=None)
+def test_family_scalars_match_terms_on_random_parameters(fam_n):
+    fam, n = fam_n
+    assert_same(fam._scalars, partial(ref_scalars, fam), n)
+
+
+@given(st.integers(0, 40), rationals, rationals)
+@settings(max_examples=200, deadline=None)
+@example(6, Fraction(-2), Fraction(5, 2))
+@example(9, Fraction(0), Fraction(-4))
+def test_binomial_rising_terms_match_type2_weights(k, u, v):
+    nums, dens = binomial_rising_terms(k, u, v)
+    got = [Fraction((-1) ** j * a, b) for j, (a, b) in enumerate(zip(nums, dens))]
+    assert got == ref_type2_weights(k, u, v)
+
+
+NEG = DifferenceOperator({-3: HUGE, -1: CONST, 2: Polynomial((0, Fraction(-1, 2)))})
+
+
+@given(difference_ops(), difference_ops())
+@settings(max_examples=300, deadline=None)
+@example(DifferenceOperator(), NEG)
+@example(NEG, DifferenceOperator())
+@example(NEG, NEG)
+@example(DifferenceOperator.forward_difference(), DifferenceOperator.backward_difference())
+@example(DifferenceOperator({-4: CONST}), DifferenceOperator({4: Polynomial((Fraction(3, 7),))}))
+def test_difference_compose_matches_shift_and_multiply(left, right):
+    got = left.compose(right)
+    assert got == ref_difference_compose(left, right)
+    for f in got.terms.values():
+        assert not f.is_zero()
+        assert_canonical(f)
+
+
+@given(differential_ops(), differential_ops())
+@settings(max_examples=300, deadline=None)
+@example(DifferentialOperator(), DifferentialOperator([ZERO, HUGE]))
+@example(DifferentialOperator([ZERO, HUGE]), DifferentialOperator())
+@example(DifferentialOperator([ZERO, ZERO, HUGE]), DifferentialOperator([CONST, ZERO, ZERO, HUGE]))
+@example(DifferentialOperator.ddx(3, HUGE), DifferentialOperator([Polynomial((0, 0, 1))]))
+def test_differential_compose_matches_leibniz_on_fractions(left, right):
+    got = left.compose(right)
+    assert got == ref_differential_compose(left, right)
+    for f in got.terms:
+        assert_canonical(f)
+    assert not got.terms or not got.terms[-1].is_zero()

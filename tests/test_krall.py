@@ -267,6 +267,39 @@ def test_band_profile_builds_each_q_once(monkeypatch):
     assert sorted(prof) == list(range(21))
 
 
+def test_krall_ortho_band_builds_each_q_once(monkeypatch):
+    # The checks of ``krall --ortho --band`` and the negated frame share one
+    # q_n each: building q_n for n >= 1 is the one call to beta(n).
+    nc = named("charlier", {"a": 1}, k=2, nmax=10)
+    kc = nc.construction
+    built = []
+    beta = KrallConstruction.beta
+    monkeypatch.setattr(KrallConstruction, "beta", lambda self, n: built.append(n) or beta(self, n))
+    assert verify_eigen(kc).ok
+    assert gram_check(nc.functional, kc.q_sequence(8)).ok
+    band_profile(kc, Polynomial.from_roots([-1, -2, -3]), 10)
+    flipped = negated_frame(kc)
+    assert flipped.q(13) is kc.q(13) and flipped.q(14) is kc.q(14)
+    assert sorted(built) == list(range(1, 15))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda kc: kc.family.polynomial(-1), "n must be >= 0; got -1", id="polynomial"
+        ),
+        pytest.param(lambda kc: kc.gamma(0), "n must be >= 1; got 0", id="gamma"),
+        pytest.param(lambda kc: kc.beta(-2), "n must be >= 1; got -2", id="beta"),
+        pytest.param(lambda kc: kc.p2 ** -1, "exponent must be >= 0; got -1", id="pow"),
+    ],
+)
+def test_index_errors_name_the_parameter(call, message):
+    kc = named("charlier", {"a": 1}, k=2, nmax=4).construction
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(kc)
+
+
 def test_perturbed_beta_breaks_eigen_identity():
     kc = named("charlier", {"a": 1}, k=2, nmax=6).construction
     bad_hits = 0
