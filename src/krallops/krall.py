@@ -76,21 +76,23 @@ class KrallConstruction:
     seed_degree: Optional[int] = None
     # q_n by n, built once: a frame that shares gamma_fn and eps_fn shares it.
     q_cache: dict[int, Polynomial] = field(default_factory=dict, compare=False, repr=False)
+    # gamma_1..gamma_{nmax+1} as the nonzero check computed them; shared likewise.
+    gammas: list[Fraction] = field(default_factory=list, compare=False, repr=False)
 
     def gamma(self, n: int) -> Fraction:
         check_at_least("n", n, 1)
-        return self.gamma_fn(n)
+        return _gamma_at(self.gammas, self.gamma_fn, n)
 
     def beta(self, n: int) -> Fraction:
-        check_at_least("n", n, 1)
-        g = self.gamma_fn(n)
+        g = self.gamma(n)
         if g == 0:
             raise HypothesisError(
                 f"{self.label}: gamma_{n} = 0, construction hypothesis fails", index=n
             )
-        return self.eps_fn(n) * self.gamma_fn(n + 1) / g
+        return self.eps_fn(n) * self.gamma(n + 1) / g
 
     def eigval(self, n: int) -> Fraction:
+        check_at_least("n", n, 0)
         if self.eigval_fn is None:
             raise ConstructionError(f"{self.label} carries no operator eigenvalues")
         return self.eigval_fn(n)
@@ -108,12 +110,22 @@ class KrallConstruction:
         return [self.q(n) for n in range(nmax + 1)]
 
 
-def _check_gamma_nonzero(label: str, gamma_fn, nmax: int):
+def _check_gamma_nonzero(label: str, gamma_fn, nmax: int) -> list[Fraction]:
+    """gamma_1..gamma_{nmax+1}, each computed once; raises at the first zero."""
+    gammas = []
     for n in range(1, nmax + 2):
-        if gamma_fn(n) == 0:
+        g = gamma_fn(n)
+        if g == 0:
             raise HypothesisError(
                 f"{label}: gamma_{n} = 0, construction hypothesis fails", index=n
             )
+        gammas.append(g)
+    return gammas
+
+
+def _gamma_at(gammas: list[Fraction], gamma_fn, n: int) -> Fraction:
+    """gamma_n (n >= 1) from the values the nonzero check kept, else from gamma_fn."""
+    return gammas[n - 1] if n <= len(gammas) else gamma_fn(n)
 
 
 def construct_type1(
@@ -149,7 +161,7 @@ def construct_type1(
     def gamma_fn(n: int) -> Fraction:
         return p2(theta(n - 1))
 
-    _check_gamma_nonzero(label, gamma_fn, nmax)
+    gammas = _check_gamma_nonzero(label, gamma_fn, nmax)
 
     dp = family.second_order_op()
     operator = poly_of_op(p1, dp) + dop.closed_form.compose(poly_of_op(p2, dp))
@@ -166,6 +178,7 @@ def construct_type1(
         eigval_fn=lambda n: p1(theta(n)),
         dop=dop,
         seed_degree=p2.degree,
+        gammas=gammas,
     )
 
 
@@ -235,12 +248,12 @@ def construct_type2(
     def gamma_fn(n: int) -> Fraction:
         return p2(theta(n - 1))
 
-    _check_gamma_nonzero(label, gamma_fn, nmax)
+    gammas = _check_gamma_nonzero(label, gamma_fn, nmax)
 
     def eigval_fn(n: int) -> Fraction:
-        if n == 0:
-            return (p1(theta(0)) - dop.sigma(1) * p2(theta(0))) / 2
-        return (dop.sigma(n) * gamma_fn(n) + p1(theta(n - 1))) / 2
+        if n == 0:  # p2(theta_0) = gamma_1
+            return (p1(theta(0)) - dop.sigma(1) * _gamma_at(gammas, gamma_fn, 1)) / 2
+        return (dop.sigma(n) * _gamma_at(gammas, gamma_fn, n) + p1(theta(n - 1))) / 2
 
     dp = family.second_order_op()
     operator = poly_of_op(p1, dp) * Fraction(1, 2) + dop.closed_form.compose(
@@ -259,6 +272,7 @@ def construct_type2(
         eigval_fn=eigval_fn,
         dop=dop,
         seed_degree=k,
+        gammas=gammas,
     )
 
 
@@ -278,6 +292,7 @@ def negated_frame(kc: KrallConstruction) -> KrallConstruction:
         dop=kc.dop,
         seed_degree=kc.seed_degree,
         q_cache=kc.q_cache,
+        gammas=kc.gammas,
     )
 
 
@@ -307,6 +322,8 @@ class EigenCheck:
     n: int
     ok: bool
     expected: Fraction
+    # The witness D_q q_n - lambda_n q_n of a failed check; None when it passes.
+    residual: Optional[Polynomial] = None
 
 
 @dataclass
@@ -336,8 +353,9 @@ def verify_eigen(kc: KrallConstruction, nmax: Optional[int] = None) -> EigenRepo
     for n in range(nmax + 1):
         qn = kc.q(n)
         lam = kc.eigval(n)
-        ok = kc.operator.apply(qn) == qn * lam
-        checks.append(EigenCheck(n=n, ok=ok, expected=lam))
+        got, want = kc.operator.apply(qn), qn * lam
+        ok = got == want
+        checks.append(EigenCheck(n=n, ok=ok, expected=lam, residual=None if ok else got - want))
     k = kc.seed_degree
     expected_order = 2 * k + 2
     order = kc.operator.order()
@@ -364,6 +382,9 @@ def band_profile(
 ) -> dict[int, list[int]]:
     """Expand multiplier * q_n in the q basis; report nonzero offsets j
     (coefficient of q_{n+j}) for each n."""
+    check_at_least("nmax", nmax, 0)
+    if multiplier.is_zero():
+        raise ValueError("multiplier must be a nonzero polynomial")
     d = multiplier.degree
     qs = kc.q_sequence(nmax + d)
     out: dict[int, list[int]] = {}
@@ -507,10 +528,9 @@ class _PointMassRecipe(NamedTuple):
         if degree.denominator == 1 and degree >= 1:
             raw = mass / self.mass_factor(**values)
             kc = self.operator(fam, dop, int(degree), raw, nmax, label)
-            if kc.gamma_fn(1) != gamma_fn(1) or kc.gamma_fn(3) != gamma_fn(3):
+            if kc.gamma(1) != gamma_fn(1) or kc.gamma(3) != gamma_fn(3):
                 raise ConstructionError(f"{kind} mass reparameterization mismatch")
         else:
-            _check_gamma_nonzero(kind, gamma_fn, nmax)
             kc = KrallConstruction(
                 family=fam,
                 kind="orthogonality-only",
@@ -518,6 +538,7 @@ class _PointMassRecipe(NamedTuple):
                 nmax=nmax,
                 gamma_fn=gamma_fn,
                 eps_fn=dop.eps,
+                gammas=_check_gamma_nonzero(kind, gamma_fn, nmax),
             )
             notes.append(
                 f"{self.degree_param} is not a positive integer: no finite-order"
@@ -647,6 +668,7 @@ def named(kind: str, params: dict, k: int, nmax: int) -> NamedConstruction:
 
 def construction_to_json(kc: KrallConstruction, nmax: Optional[int] = None) -> dict:
     nmax = kc.nmax if nmax is None else nmax
+    check_at_least("nmax", nmax, 0)
     data: dict = {
         "label": kc.label,
         "kind": kc.kind,

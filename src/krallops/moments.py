@@ -248,7 +248,7 @@ def gram_check(functional: MomentFunctional, polys: Sequence[Polynomial]) -> Gra
     """Pair every product p_i p_j; off-diagonal must vanish, diagonal must not."""
     n = len(polys)
     check_at_least("len(polys)", n, 1)
-    pair = _moment_pairing(functional, 2 * max(len(p.coeffs) for p in polys) - 2)
+    pair = _moment_pairing(functional, 2 * max(len(p._ints()[0]) for p in polys) - 2)
     values = [[Fraction(0)] * n for _ in range(n)]
     failures = []
     for i in range(n):

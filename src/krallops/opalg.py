@@ -10,6 +10,7 @@ rationals.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping, Union
 
@@ -58,7 +59,8 @@ def _sum_of_products(
 class DifferenceOperator:
     """Finite linear combination of shift operators with polynomial coefficients."""
 
-    __slots__ = ("_terms",)
+    # _powers memoises this operator's powers for poly_of_op; not part of its value.
+    __slots__ = ("_terms", "_powers")
 
     def __init__(self, terms: Mapping[int, Union[Polynomial, RatLike]] = ()):
         canon: dict[int, Polynomial] = {}
@@ -74,6 +76,7 @@ class DifferenceOperator:
                     continue
             canon[int(shift)] = p
         self._terms = dict(sorted(canon.items()))
+        self._powers: list[DifferenceOperator] = []
 
     @classmethod
     def shift(cls, offset: int, coeff: Union[Polynomial, RatLike] = 1) -> "DifferenceOperator":
@@ -179,13 +182,15 @@ class DifferenceOperator:
 class DifferentialOperator:
     """Finite linear combination of d/dx powers with polynomial coefficients."""
 
-    __slots__ = ("_terms",)
+    # _powers memoises this operator's powers for poly_of_op; not part of its value.
+    __slots__ = ("_terms", "_powers")
 
     def __init__(self, coeffs: Iterable[Union[Polynomial, RatLike]] = ()):
         cs = [_as_coeff_poly(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self._terms = tuple(cs)
+        self._powers: list[DifferentialOperator] = []
 
     @classmethod
     def identity(cls) -> "DifferentialOperator":
@@ -299,29 +304,49 @@ def zero_like(op: Operator) -> Operator:
     return DifferentialOperator()
 
 
+def _linear(pairs: list[tuple[Fraction, Operator]], like: Operator) -> Operator:
+    """sum_i c_i * op_i for nonzero c_i and operators of the kind of ``like``.
+
+    Each shift (or order) sums c_i times its coefficient of op_i on integer
+    numerators, with one lcm and one reduction (``_sum_of_products``)."""
+    kind = type(like)
+    by_key: dict[int, list] = {}
+    for c, op in pairs:
+        if type(op) is not kind:
+            raise TypeError(f"cannot combine {type(op).__name__} with {kind.__name__}")
+        items = op._terms.items() if kind is DifferenceOperator else enumerate(op._terms)
+        for key, f in items:
+            if not f.is_zero():
+                nums, den = f._ints()
+                by_key.setdefault(key, []).append(((nums, den * c.denominator), [c.numerator]))
+    sums = {key: _sum_of_products(terms, 1) for key, terms in by_key.items()}
+    if kind is DifferenceOperator:
+        return DifferenceOperator(sums)
+    top = max(sums, default=-1)
+    return DifferentialOperator([sums.get(j, Polynomial.zero()) for j in range(top + 1)])
+
+
+def _power(op: Operator, j: int) -> Operator:
+    """op^j; each power is composed once per operator object and kept on it."""
+    if j <= 1:
+        return op if j else identity_like(op)
+    powers = op._powers  # op^2, op^3, ...; op itself is not kept, so no cycle
+    while len(powers) < j - 1:
+        powers.append((powers[-1] if powers else op).compose(op))
+    return powers[j - 2]
+
+
 def poly_of_op(p: Polynomial, op: Operator) -> Operator:
     """Substitute an operator into a polynomial: sum_j a_j * op^j, op^0 = identity."""
-    out = zero_like(op)
-    power = identity_like(op)
-    deg = -1 if p.is_zero() else p.degree
-    for j in range(deg + 1):
-        c = p.coeff(j)
-        if c:
-            out = out + power * c
-        if j < deg:
-            power = power.compose(op)
-    return out
+    return _linear([(c, _power(op, j)) for j, c in enumerate(p.coeffs) if c], op)
 
 
 def op_linear(pairs: Iterable[tuple[RatLike, Operator]]) -> Operator:
     """Exact linear combination sum_i c_i * op_i (all of one kind)."""
-    pairs = list(pairs)
+    pairs = [(as_fraction(c), op) for c, op in pairs]
     if not pairs:
         raise ValueError("op_linear needs at least one term")
-    out = zero_like(pairs[0][1])
-    for c, op in pairs:
-        out = out + op * as_fraction(c)
-    return out
+    return _linear([(c, op) for c, op in pairs if c], pairs[0][1])
 
 
 # -- JSON round-trip -----------------------------------------------------------

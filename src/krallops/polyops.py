@@ -2,15 +2,16 @@
 
 Everything downstream (difference/differential operators, classical
 families, moment functionals) is built on this class, so it stays small
-and strict: coefficients are `fractions.Fraction`, stored ascending by
-power with trailing zeros stripped, and every operation is exact.
+and strict: a polynomial is stored as integer numerators, ascending by
+power with trailing zeros stripped, over one positive denominator that
+shares no factor with all of them, and every operation is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -36,15 +37,21 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 class Polynomial:
-    """Immutable polynomial with Fraction coefficients, lowest-terms exact."""
+    """Immutable polynomial with exact rational coefficients.
 
-    __slots__ = ("_coeffs",)
+    Stored as the canonical pair (_nums, _den): a tuple of integer
+    numerators with no trailing zero, over _den > 0 with
+    gcd(_den, *_nums) == 1; zero is ((), 1).  The pair is unique for each
+    polynomial (_den is the lcm of the lowest-terms coefficient
+    denominators), so equality and hashing read it.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        self._nums, self._den = _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- construction helpers ------------------------------------------------
 
@@ -102,26 +109,28 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """The lowest-terms Fraction coefficients, ascending by power."""
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._nums])
 
     @property
     def degree(self):
         """Degree as an int; float('-inf') for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._nums) - 1 if self._nums else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return Fraction(0)
 
     @property
     def lead(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -129,18 +138,26 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, da = self._nums, self._den
+        b, db = other._nums, other._den
+        if da != db:
+            den = lcm(da, db)
+            a = [c * (den // da) for c in a]
+            b = [c * (den // db) for c in b]
+            da = den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _from_ints(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
+        out = Polynomial.__new__(Polynomial)
+        out._nums, out._den = tuple([-c for c in self._nums]), self._den
+        return out
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce_poly(other)
@@ -156,22 +173,26 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
+            if not self._nums or not other._nums:
                 return Polynomial()
-            a, da = self._ints()
-            b, db = other._ints()
-            return _from_ints(_convolve(a, b), da * db)
+            return _from_ints(_convolve(self._nums, other._nums), self._den * other._den)
         try:
             c = as_fraction(other)
         except TypeError:
             return NotImplemented
-        return Polynomial([c * a for a in self._coeffs])
+        u = c.numerator
+        return _from_ints([u * a for a in self._nums], self._den * c.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Polynomial":
         c = as_fraction(scalar)
-        return Polynomial([a / c for a in self._coeffs])
+        if not self._nums:
+            return self
+        if not c:
+            # raises the ZeroDivisionError of the coefficient-wise quotient
+            return self.coeff(0) / c
+        return self * Fraction(c.denominator, c.numerator)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         check_at_least("exponent", exponent, 0)
@@ -191,14 +212,17 @@ class Polynomial:
         """Evaluate at a rational point, or compose when given a Polynomial."""
         if isinstance(point, Polynomial):
             acc: Polynomial = Polynomial()
-            for c in reversed(self._coeffs):
+            for c in reversed(self.coeffs):
                 acc = acc * point + Polynomial((c,))
             return acc
         x0 = as_fraction(point)
-        acc_f = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc_f = acc_f * x0 + c
-        return acc_f
+        # Horner on integers: sum_j c_j u^j v^(d-j) over den v^d, for x0 = u/v.
+        u, v = x0.numerator, x0.denominator
+        acc, vp = 0, 1
+        for c in reversed(self._nums):
+            acc = acc * u + c * vp
+            vp *= v
+        return Fraction(acc * v, self._den * vp)
 
     def shift_arg(self, offset: RatLike) -> "Polynomial":
         """Return p(x + offset), by an integer Taylor shift.
@@ -208,9 +232,9 @@ class Polynomial:
         denominator v^d.
         """
         off = as_fraction(offset)
-        if off == 0 or len(self._coeffs) < 2:
+        if off == 0 or len(self._nums) < 2:
             return self
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         u, v = off.numerator, off.denominator
         d = len(nums) - 1
         nums = [c * v ** (d - j) for j, c in enumerate(nums)]
@@ -219,18 +243,17 @@ class Polynomial:
 
     def derivative(self, times: int = 1) -> "Polynomial":
         check_at_least("times", times, 0)
-        p = self
+        nums = self._nums
         for _ in range(times):
-            p = Polynomial([i * c for i, c in enumerate(p._coeffs)][1:])
-        return p
+            nums = [j * nums[j] for j in range(1, len(nums))]
+        return _from_ints(list(nums), self._den)
 
     # -- integer form --------------------------------------------------------------
 
-    def _ints(self) -> tuple[list[int], int]:
-        """Integer numerators over the lcm of the coefficient denominators."""
-        cs = self._coeffs
-        den = lcm(*[c.denominator for c in cs])
-        return [c.numerator * (den // c.denominator) for c in cs], den
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """The stored pair: integer numerators over the lcm of the coefficient
+        denominators."""
+        return self._nums, self._den
 
     # -- comparison / display --------------------------------------------------
 
@@ -238,20 +261,21 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for power in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[power]
+        cs = self.coeffs
+        for power in range(len(cs) - 1, -1, -1):
+            c = cs[power]
             if c == 0:
                 continue
             if power == 0:
@@ -273,25 +297,32 @@ class Polynomial:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [fraction_to_str(c) for c in self._coeffs]
+        return [fraction_to_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "Polynomial":
         return cls(data)
 
 
-def _from_ints(nums: list[int], den: int) -> Polynomial:
-    """Polynomial with coefficients nums[j] / den, in lowest terms; strips
-    trailing zeros of ``nums`` in place."""
+def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair for coefficients nums[j] / den, with den > 0: trailing
+    zeros of ``nums`` stripped in place, then one gcd and one exact division."""
     while nums and not nums[-1]:
         nums.pop()
+    # Tuples are built from lists, not generators: tuple(genexpr) resizes as
+    # it goes, which on the eigen workloads left CPython's tuple free lists
+    # full and raised peak RSS by more than 1 MB.
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g
+
+
+def _from_ints(nums: list[int], den: int) -> Polynomial:
+    """Polynomial with coefficients nums[j] / den (den > 0); strips trailing
+    zeros of ``nums`` in place."""
     out = Polynomial.__new__(Polynomial)
-    # Build the tuple from a list, not from a generator.  tuple(genexpr)
-    # cannot know the length and resizes as it goes; on the eigen workloads
-    # that left CPython's tuple free lists full (2000 spare tuples of each
-    # small size, per sys._debugmallocstats) and raised peak RSS by more
-    # than 1 MB.  lcm(*genexpr) in _ints would unpack through such a tuple.
-    object.__setattr__(out, "_coeffs", tuple([Fraction(c, den) for c in nums]))
+    out._nums, out._den = _reduced(nums, den)
     return out
 
 

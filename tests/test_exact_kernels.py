@@ -22,6 +22,13 @@ from running integer products; both ``compose`` kinds sum their products on
 integer numerators.  The references are the former ``pochhammer``, the six
 per-term ``_term(n, j)`` bodies and the two ``compose`` bodies on
 ``Polynomial`` arithmetic.
+
+``Polynomial`` itself is stored as integer numerators over one denominator,
+and ``poly_of_op`` and ``op_linear`` sum on integer numerators from one chain
+of operator powers.  The references are the former ``Fraction``-tuple
+``Polynomial`` methods (the class ``RefPolynomial``) and the former
+``poly_of_op`` and ``op_linear`` bodies, and results and raised errors must
+match exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -76,12 +83,21 @@ from krallops.moments import (
     pairing,
     solve_fraction,
 )
-from krallops.opalg import DifferenceOperator, DifferentialOperator
+from krallops.opalg import (
+    DifferenceOperator,
+    DifferentialOperator,
+    identity_like,
+    op_linear,
+    poly_of_op,
+    zero_like,
+)
 from krallops.polyops import (
     Polynomial,
+    _taylor_shift,
     as_fraction,
     binom_scalar,
     falling_factorial_poly,
+    fraction_to_str,
     pochhammer,
 )
 
@@ -127,6 +143,10 @@ def ref_differential_apply(op: DifferentialOperator, p: Polynomial) -> Polynomia
 
 
 def assert_canonical(p: Polynomial) -> None:
+    nums, den = p._nums, p._den
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
     for c in p.coeffs:
         assert type(c) is Fraction
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
@@ -885,3 +905,270 @@ def test_differential_compose_matches_leibniz_on_fractions(left, right):
     for f in got.terms:
         assert_canonical(f)
     assert not got.terms or not got.terms[-1].is_zero()
+
+
+# -- the integer-pair Polynomial: references -------------------------------------------
+
+
+class RefPolynomial:
+    """The former ``Polynomial`` on a tuple of lowest-terms ``Fraction``s.
+
+    Its method bodies are verbatim but for the class name; ``__mul__`` keeps
+    only the scalar branch (polynomial products are ``ref_mul``) and
+    ``__call__`` only the rational-point branch."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "_coeffs", tuple(cs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self._coeffs
+
+    def coeff(self, power: int) -> Fraction:
+        if 0 <= power < len(self._coeffs):
+            return self._coeffs[power]
+        return Fraction(0)
+
+    @property
+    def lead(self) -> Fraction:
+        if not self._coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self._coeffs[-1]
+
+    def __add__(self, other) -> "RefPolynomial":
+        other = _ref_coerce_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPolynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RefPolynomial":
+        return RefPolynomial([-c for c in self._coeffs])
+
+    def __sub__(self, other) -> "RefPolynomial":
+        other = _ref_coerce_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "RefPolynomial":
+        other = _ref_coerce_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other) -> "RefPolynomial":
+        try:
+            c = as_fraction(other)
+        except TypeError:
+            return NotImplemented
+        return RefPolynomial([c * a for a in self._coeffs])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "RefPolynomial":
+        c = as_fraction(scalar)
+        return RefPolynomial([a / c for a in self._coeffs])
+
+    def __call__(self, point):
+        x0 = as_fraction(point)
+        acc_f = Fraction(0)
+        for c in reversed(self._coeffs):
+            acc_f = acc_f * x0 + c
+        return acc_f
+
+    def shift_arg(self, offset) -> "RefPolynomial":
+        off = as_fraction(offset)
+        if off == 0 or len(self._coeffs) < 2:
+            return self
+        nums, den = self._ints()
+        u, v = off.numerator, off.denominator
+        d = len(nums) - 1
+        nums = [c * v ** (d - j) for j, c in enumerate(nums)]
+        _taylor_shift(nums, u)
+        return _ref_from_ints([c * v**j for j, c in enumerate(nums)], den * v**d)
+
+    def derivative(self, times: int = 1) -> "RefPolynomial":
+        check_at_least("times", times, 0)
+        p = self
+        for _ in range(times):
+            p = RefPolynomial([i * c for i, c in enumerate(p._coeffs)][1:])
+        return p
+
+    def _ints(self) -> tuple[list[int], int]:
+        cs = self._coeffs
+        den = lcm(*[c.denominator for c in cs])
+        return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _ref_from_ints(nums: list[int], den: int) -> RefPolynomial:
+    while nums and not nums[-1]:
+        nums.pop()
+    out = RefPolynomial.__new__(RefPolynomial)
+    object.__setattr__(out, "_coeffs", tuple([Fraction(c, den) for c in nums]))
+    return out
+
+
+def _ref_coerce_poly(value):
+    if isinstance(value, RefPolynomial):
+        return value
+    try:
+        return RefPolynomial((as_fraction(value),))
+    except TypeError:
+        return NotImplemented
+
+
+def ref_poly_of_op(p: Polynomial, op):
+    out = zero_like(op)
+    power = identity_like(op)
+    deg = -1 if p.is_zero() else p.degree
+    for j in range(deg + 1):
+        c = p.coeff(j)
+        if c:
+            out = out + power * c
+        if j < deg:
+            power = power.compose(op)
+    return out
+
+
+def ref_op_linear(pairs):
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("op_linear needs at least one term")
+    out = zero_like(pairs[0][1])
+    for c, op in pairs:
+        out = out + op * as_fraction(c)
+    return out
+
+
+def settled(fn, *args):
+    """fn's value, polynomials as coefficient tuples, or the type and message
+    of what it raises."""
+    try:
+        got = fn(*args)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Polynomial):
+        assert_canonical(got)
+    if isinstance(got, (Polynomial, RefPolynomial)):
+        return "poly", got.coeffs
+    return type(got), got
+
+
+# -- the integer-pair Polynomial: differential tests -------------------------------------
+
+raw_coeffs = st.lists(
+    st.one_of(scalars, st.integers(-10**30, 10**30), small.map(fraction_to_str)), max_size=8
+)
+# Scalar operands: rationals of every input form the API takes, zero among them.
+operands = st.one_of(st.just(0), scalars, st.integers(-9, 9), small.map(fraction_to_str))
+
+POLY_METHODS = {
+    "add": lambda p, q, c, j: p + q,
+    "add_scalar": lambda p, q, c, j: p + c,
+    "radd_scalar": lambda p, q, c, j: c + p,
+    "sub": lambda p, q, c, j: p - q,
+    "sub_scalar": lambda p, q, c, j: p - c,
+    "rsub_scalar": lambda p, q, c, j: c - p,
+    "neg": lambda p, q, c, j: -p,
+    "mul_scalar": lambda p, q, c, j: p * c,
+    "rmul_scalar": lambda p, q, c, j: c * p,
+    "truediv": lambda p, q, c, j: p / c,
+    "call": lambda p, q, c, j: p(c),
+    "coeff": lambda p, q, c, j: p.coeff(j),
+    "lead": lambda p, q, c, j: p.lead,
+    "derivative": lambda p, q, c, j: p.derivative(j),
+    "shift_arg": lambda p, q, c, j: p.shift_arg(c),
+    "coeffs": lambda p, q, c, j: p.coeffs,
+}
+
+
+@pytest.mark.parametrize("method", POLY_METHODS)
+@given(a=raw_coeffs, b=raw_coeffs, c=operands, j=st.integers(-2, 9))
+@settings(max_examples=100, deadline=None)
+@example(a=[], b=[], c=0, j=0)
+@example(a=[Fraction(3, 4), 0, "-5/6"], b=[], c=0, j=-1)
+@example(a=[0, Fraction(-7, 2)], b=[0, Fraction(7, 2)], c=Fraction(0), j=3)
+@example(a=[HUGE.lead, 1, 0, 0], b=["1/3"], c=Fraction(-(10**30) - 1, 7**20), j=1)
+def test_polynomial_methods_match_fraction_tuple_bodies(method, a, b, c, j):
+    fn = POLY_METHODS[method]
+    got = settled(fn, Polynomial(a), Polynomial(b), c, j)
+    assert got == settled(fn, RefPolynomial(a), RefPolynomial(b), c, j)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[Fraction(1, 2), "3/4", 5], [0.5], ["1/0"], ["one"], [None], [1, 2, 0, "0/7"]]
+)
+def test_polynomial_init_matches_fraction_tuple_body(coeffs):
+    assert settled(Polynomial, coeffs) == settled(RefPolynomial, coeffs)
+
+
+@given(raw_coeffs, raw_coeffs)
+@settings(max_examples=300, deadline=None)
+@example([], [0, "0/5"])
+@example([Fraction(1, 6), Fraction(1, 10)], ["2/12", "3/30", 0])
+@example([1, 2], [Fraction(1, 3), Fraction(2, 3)])  # equal numerators, other denominators
+def test_integer_pair_is_canonical_and_decides_equality(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    # The same polynomial from other input forms: strings, and trailing zeros.
+    same = Polynomial([fraction_to_str(as_fraction(c)) for c in a] + [0, "0/3"])
+    for r in (p, q, same, p + q, p - p, p * q, -p, p.derivative(), p * Fraction(-2, 3)):
+        assert_canonical(r)
+        assert r._nums or r._den == 1
+    assert same == p and hash(same) == hash(p) and same._nums == p._nums
+    assert (p == q) == (p.coeffs == q.coeffs)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+tiny_polys = st.lists(small, max_size=4).map(Polynomial)
+
+
+def tiny_operators(kind):
+    if kind is DifferenceOperator:
+        return st.dictionaries(st.integers(-2, 2), tiny_polys, max_size=3).map(DifferenceOperator)
+    return st.lists(tiny_polys, max_size=3).map(DifferentialOperator)
+
+
+operator_kinds = st.sampled_from([DifferenceOperator, DifferentialOperator])
+
+
+@given(operator_kinds.flatmap(tiny_operators), tiny_polys, tiny_polys)
+@settings(max_examples=150, deadline=None)
+@example(DifferenceOperator.forward_difference(), ZERO, CONST)
+@example(DifferentialOperator.ddx(2, Polynomial((0, 1))), CONST, ZERO)
+@example(DifferenceOperator(), Polynomial((1, 2, 3)), CONST)
+@example(DifferentialOperator(), Polynomial((0, 0, 1)), ZERO)
+def test_poly_of_op_matches_term_by_term_powers(op, p, q):
+    # Two substitutions into one operator object: the second reuses its powers.
+    for poly in (p, q, p * q):
+        got = poly_of_op(poly, op)
+        assert type(got) is type(op) and got == ref_poly_of_op(poly, op)
+        for f in got.terms.values() if isinstance(got, DifferenceOperator) else got.terms:
+            assert_canonical(f)
+
+
+@given(
+    operator_kinds.flatmap(
+        lambda kind: st.lists(st.tuples(operands, tiny_operators(kind)), max_size=4)
+    )
+)
+@settings(max_examples=100, deadline=None)
+@example([])
+@example([(0, DifferenceOperator.forward_difference())])
+@example([(2, DifferentialOperator.ddx(1)), ("-2", DifferentialOperator.ddx(1))])
+def test_op_linear_matches_term_by_term_sum(pairs):
+    got = settled(op_linear, pairs)
+    assert got == settled(ref_op_linear, pairs)

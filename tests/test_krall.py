@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -31,7 +33,7 @@ from krallops.krall import (
     verify_eigen,
 )
 from krallops.moments import gram_check, orthoseq
-from krallops.opalg import operator_from_json
+from krallops.opalg import DifferenceOperator, operator_from_json
 from krallops.polyops import Polynomial, pochhammer
 
 F = Fraction
@@ -292,12 +294,72 @@ def test_krall_ortho_band_builds_each_q_once(monkeypatch):
         pytest.param(lambda kc: kc.gamma(0), "n must be >= 1; got 0", id="gamma"),
         pytest.param(lambda kc: kc.beta(-2), "n must be >= 1; got -2", id="beta"),
         pytest.param(lambda kc: kc.p2 ** -1, "exponent must be >= 0; got -1", id="pow"),
+        pytest.param(lambda kc: kc.eigval(-2), "n must be >= 0; got -2", id="eigval"),
+        pytest.param(
+            lambda kc: band_profile(kc, Polynomial.x(), -1),
+            "nmax must be >= 0; got -1",
+            id="band_profile-nmax",
+        ),
+        pytest.param(
+            lambda kc: band_profile(kc, Polynomial.zero(), 3),
+            "multiplier must be a nonzero polynomial",
+            id="band_profile-multiplier",
+        ),
+        pytest.param(
+            lambda kc: construction_to_json(kc, -1),
+            "nmax must be >= 0; got -1",
+            id="construction_to_json",
+        ),
     ],
 )
 def test_index_errors_name_the_parameter(call, message):
     kc = named("charlier", {"a": 1}, k=2, nmax=4).construction
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(kc)
+
+
+@pytest.mark.parametrize(
+    "kind, params, k",
+    [
+        ("charlier", {"a": 1}, 2),
+        ("hahn2", dict(zip(("alpha", "c", "N"), HAHN_TRIPLE)), 2),
+        ("laguerre", {"alpha": 2, "mass": F(3, 2)}, 0),
+        ("jacobi", {"alpha": F(1, 2), "beta": 2, "mass": 1}, 0),
+    ],
+)
+def test_each_gamma_is_computed_once(monkeypatch, kind, params, k):
+    # gamma_n = P2(theta_{n-1}): count the evaluations of P2 at each point over
+    # the construction, its eigen checks, its JSON dump and its negated frame.
+    evaluated = Counter()
+    call = Polynomial.__call__
+
+    def counting(self, point):
+        if not isinstance(point, Polynomial):
+            evaluated[self, F(point)] += 1
+        return call(self, point)
+
+    monkeypatch.setattr(Polynomial, "__call__", counting)
+    nmax = 6
+    kc = named(kind, params, k=k, nmax=nmax).construction
+    assert verify_eigen(kc).ok and verify_eigen(negated_frame(kc)).ok
+    construction_to_json(kc)
+    theta = kc.family.eigenvalue
+    assert [evaluated[kc.p2, theta(n - 1)] for n in range(1, nmax + 2)] == [1] * (nmax + 1)
+    # Past nmax + 1 the kept values end and gamma_fn takes over.
+    assert kc.gamma(nmax + 2) == kc.p2(theta(nmax + 1))
+
+
+def test_failed_eigen_check_keeps_its_residual():
+    kc = named("charlier", {"a": 1}, k=2, nmax=6).construction
+    assert all(c.residual is None for c in verify_eigen(kc).checks)
+    # D_q + Delta still fixes q_0, but leaves Delta q_n for n >= 1.
+    delta = DifferenceOperator.forward_difference()
+    bad = verify_eigen(dataclasses.replace(kc, operator=kc.operator + delta))
+    assert not bad.ok
+    assert [c.ok for c in bad.checks] == [True] + [False] * 6
+    assert bad.checks[0].residual is None
+    for c in bad.checks[1:]:
+        assert c.residual == delta.apply(kc.q(c.n)) and not c.residual.is_zero()
 
 
 def test_perturbed_beta_breaks_eigen_identity():

@@ -128,6 +128,9 @@ def test_op_linear():
     combo = op_linear([(Fraction(2), a), (Fraction(-1, 2), b)])
     assert combo.coeff(1) == Polynomial((2,))
     assert combo.coeff(-1) == Polynomial((Fraction(-1, 2),))
+    mixed = "^cannot combine DifferentialOperator with DifferenceOperator$"
+    with pytest.raises(TypeError, match=mixed):
+        op_linear([(1, a), (1, DifferentialOperator.ddx(1))])
 
 
 @given(diff_ops())
