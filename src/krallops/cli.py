@@ -33,11 +33,12 @@ from .errors import (
 from .families import FAMILY_PARAM_FIELDS, family_from_name, family_to_json
 from .krall import (
     NAMED_KINDS,
+    band_profile,
     construction_to_json,
     named,
     verify_eigen,
 )
-from .polyops import as_fraction, fraction_to_str
+from .polyops import Polynomial, as_fraction, fraction_to_str
 
 SCHEMA = "krall-report/1"
 
@@ -58,13 +59,8 @@ _PARAM_FLAGS = ("a", "c", "N", "alpha", "beta", "mass", "mass_raw")
 
 
 def _add_param_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--a", type=_rational)
-    parser.add_argument("--c", type=_rational)
-    parser.add_argument("--N", type=_rational)
-    parser.add_argument("--alpha", type=_rational)
-    parser.add_argument("--beta", type=_rational)
-    parser.add_argument("--mass", type=_rational)
-    parser.add_argument("--mass-raw", dest="mass_raw", type=_rational)
+    for name in _PARAM_FLAGS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_rational)
 
 
 def _collected_params(args: argparse.Namespace) -> dict:
@@ -75,6 +71,16 @@ def _collected_params(args: argparse.Namespace) -> dict:
 
 def _params_json(params: dict) -> dict:
     return {key: fraction_to_str(value) for key, value in sorted(params.items())}
+
+
+_SUBCOMMAND_HELP = {
+    "verify-dops": "check lowering-operator series == closed form",
+    "krall": "build a named construction and verify it",
+    "casorati": "determinant identity for shifted Charlier rows",
+    "ip-lemma": "pairing ratio identities",
+    "table": "print gamma_n, beta_n, lambda_n, q_n",
+    "dump-operator": "serialize a construction to JSON",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,41 +96,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the cProfile top 25 functions by self time to stderr",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subs = {name: sub.add_parser(name, help=text) for name, text in _SUBCOMMAND_HELP.items()}
 
-    p = sub.add_parser("verify-dops", help="check lowering-operator series == closed form")
+    p = subs["verify-dops"]
     p.add_argument("--family", required=True, choices=sorted(FAMILY_PARAM_FIELDS))
     p.add_argument("--nmax", type=int, default=10)
     _add_param_flags(p)
 
-    p = sub.add_parser("krall", help="build a named construction and verify it")
-    p.add_argument("--theorem", required=True, choices=NAMED_KINDS)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--ortho", action="store_true", help="also check orthogonality")
-    p.add_argument("--band", action="store_true", help="also report recurrence bands")
-    _add_param_flags(p)
+    # The subcommands that build a named construction share their flags.
+    for name in ("krall", "table", "dump-operator"):
+        p = subs[name]
+        p.add_argument("--theorem", required=True, choices=NAMED_KINDS)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--nmax", type=int, default=10)
+        if name == "krall":
+            p.add_argument("--ortho", action="store_true", help="also check orthogonality")
+            p.add_argument("--band", action="store_true", help="also report recurrence bands")
+        _add_param_flags(p)
 
-    p = sub.add_parser("casorati", help="determinant identity for shifted Charlier rows")
+    p = subs["casorati"]
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nmax", type=int, default=10)
 
-    p = sub.add_parser("ip-lemma", help="pairing ratio identities")
+    p = subs["ip-lemma"]
     p.add_argument("--kind", required=True, choices=moments.IP_LEMMA_KINDS)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--nmax", type=int, default=8)
-    _add_param_flags(p)
-
-    p = sub.add_parser("table", help="print gamma_n, beta_n, lambda_n, q_n")
-    p.add_argument("--theorem", required=True, choices=NAMED_KINDS)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=10)
-    _add_param_flags(p)
-
-    p = sub.add_parser("dump-operator", help="serialize a construction to JSON")
-    p.add_argument("--theorem", required=True, choices=NAMED_KINDS)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=10)
     _add_param_flags(p)
 
     # Accept --json and --profile after the subcommand too; SUPPRESS keeps a
@@ -177,6 +175,14 @@ def _gamma_hypothesis_json(kc, nmax: int) -> dict:
     else:
         out["gamma_nonzero_at_0"] = None
     return out
+
+
+# The degree-(k+1) multiplier whose recurrence band --band reports, by family.
+_BAND_MULTIPLIERS = {
+    "laguerre": lambda k: Polynomial.monomial(k + 1),
+    "jacobi": lambda k: Polynomial((1, 1)) ** (k + 1),
+    "charlier": lambda k: Polynomial.from_roots([-j for j in range(1, k + 2)]),
+}
 
 
 def _run_krall(args) -> tuple[dict, list[str], bool]:
@@ -232,23 +238,13 @@ def _run_krall(args) -> tuple[dict, list[str], bool]:
         lines.append(f"orthogonality q_0..q_{upto}: {'pass' if gram.ok else 'FAIL'}")
 
     if args.band:
-        from .krall import band_profile
-        from .polyops import Polynomial
-
-        fam_name = kc.family.name()
         k = kc.seed_degree if kc.seed_degree is not None else args.k
-        if fam_name == "laguerre":
-            mult = Polynomial.monomial(k + 1)
-        elif fam_name == "jacobi":
-            mult = Polynomial((1, 1)) ** (k + 1)
-        elif fam_name == "charlier":
-            mult = Polynomial.from_roots([-j for j in range(1, k + 2)])
-        else:
-            mult = None
-        if mult is None:
+        make_mult = _BAND_MULTIPLIERS.get(kc.family.name())
+        if make_mult is None:
             report["band"] = None
             lines.append("band profile: not defined for this family")
         else:
+            mult = make_mult(k)
             prof = band_profile(kc, mult, nmax)
             lo = min(min(v) for v in prof.values())
             hi = max(max(v) for v in prof.values())

@@ -13,10 +13,11 @@ DegeneracyError naming the factor that collapsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from typing import Callable
 
 from .errors import DegeneracyError, check_at_least
 from .opalg import DifferenceOperator, DifferentialOperator, Operator
@@ -93,6 +94,17 @@ def _ttr_by_expansion(fam: Family, n: int) -> tuple[Fraction, Fraction, Fraction
 
 def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
     """Exact coordinates of poly in the basis p_0, p_1, ... of the family."""
+    return _expand_graded(
+        poly, fam.polynomial, DegeneracyError("family basis expansion failed to terminate")
+    )
+
+
+def _expand_graded(
+    poly: Polynomial, basis: Callable[[int], Polynomial], failure: Exception
+) -> list[Fraction]:
+    """Exact coordinates of poly in a basis whose m-th member basis(m) has
+    degree m, peeled from the top degree down; raises ``failure`` when a
+    residual is left.  A zero coordinate does not build its basis member."""
     if poly.is_zero():
         return []
     out = [Fraction(0)] * (poly.degree + 1)
@@ -101,12 +113,12 @@ def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
         c = residual.coeff(m)
         if c == 0:
             continue
-        pm = fam.polynomial(m)
-        d = c / pm.lead
+        bm = basis(m)
+        d = c / bm.lead
         out[m] = d
-        residual = residual - pm * d
+        residual = residual - bm * d
     if not residual.is_zero():
-        raise DegeneracyError("family basis expansion failed to terminate")
+        raise failure
     return out
 
 
@@ -498,22 +510,11 @@ def dual_hahn_variant(variant: int, alpha: RatLike, c: RatLike, N: RatLike, k: i
     raise ValueError("dual Hahn variant must be 1 or 2")
 
 
-FAMILY_PARAM_FIELDS = {
-    "charlier": ("a",),
-    "meixner": ("a", "c"),
-    "krawtchouk": ("a", "N"),
-    "hahn": ("alpha", "c", "N"),
-    "laguerre": ("alpha",),
-    "jacobi": ("alpha", "beta"),
-}
-
 _FAMILY_CLASSES = {
-    "charlier": Charlier,
-    "meixner": Meixner,
-    "krawtchouk": Krawtchouk,
-    "hahn": Hahn,
-    "laguerre": Laguerre,
-    "jacobi": Jacobi,
+    cls.__name__.lower(): cls for cls in (Charlier, Meixner, Krawtchouk, Hahn, Laguerre, Jacobi)
+}
+FAMILY_PARAM_FIELDS = {
+    name: tuple(f.name for f in fields(cls)) for name, cls in _FAMILY_CLASSES.items()
 }
 
 
@@ -522,11 +523,11 @@ def family_from_name(name: str, params: dict) -> Family:
     cls = _FAMILY_CLASSES.get(name)
     if cls is None:
         raise ValueError(f"unknown family {name!r}")
-    fields = FAMILY_PARAM_FIELDS[name]
-    missing = [f for f in fields if f not in params]
+    names = FAMILY_PARAM_FIELDS[name]
+    missing = [f for f in names if f not in params]
     if missing:
         raise ValueError(f"family {name!r} needs parameters {missing}")
-    return cls(*(as_fraction(params[f]) for f in fields))
+    return cls(*(as_fraction(params[f]) for f in names))
 
 
 def family_to_json(fam: Family) -> dict:

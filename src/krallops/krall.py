@@ -39,8 +39,8 @@ from .families import (
     Krawtchouk,
     Laguerre,
     Meixner,
+    _expand_graded,
     binomial_rising_terms,
-    expand_in_family_basis,
 )
 from .opalg import (
     DifferenceOperator,
@@ -388,18 +388,9 @@ def band_profile(
     d = multiplier.degree
     qs = kc.q_sequence(nmax + d)
     out: dict[int, list[int]] = {}
+    failure = ConstructionError("q-basis expansion failed; q_m are not graded")
     for n in range(nmax + 1):
-        target = multiplier * qs[n]
-        top = n + d
-        coords = [Fraction(0)] * (top + 1)
-        residual = target
-        for m in range(top, -1, -1):
-            qm = qs[m]
-            c = residual.coeff(m) / qm.lead
-            coords[m] = c
-            residual = residual - qm * c
-        if not residual.is_zero():
-            raise ConstructionError("q-basis expansion failed; q_m are not graded")
+        coords = _expand_graded(multiplier * qs[n], qs.__getitem__, failure)
         out[n] = [m - n for m, c in enumerate(coords) if c != 0]
     return out
 

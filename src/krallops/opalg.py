@@ -3,18 +3,21 @@
 A difference operator is a finite sum  sum_l f_l(x) * Sh_l  where Sh_l
 sends p(x) to p(x+l); its genre is (min l, max l) over nonzero terms and
 its order is the width of that window.  A differential operator is a
-finite sum  sum_j f_j(x) * (d/dx)^j.  Both kinds support apply, compose,
-and linear combinations, and both serialize to JSON with bit-exact
-rationals.
+finite sum  sum_j f_j(x) * (d/dx)^j.  Both kinds hold the same data, a map
+from an integer key (the shift l, or the order j >= 0) to a nonzero
+polynomial coefficient, and share its linear-space operations; each kind
+adds its own apply, compose and shape.  Both serialize to JSON with
+bit-exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import index
 from typing import Iterable, Mapping, Union
 
-from .errors import OperatorError
+from .errors import OperatorError, check_at_least
 from .polyops import (
     Polynomial,
     RatLike,
@@ -56,35 +59,96 @@ def _sum_of_products(
     return _from_ints(acc, common * den)
 
 
-class DifferenceOperator:
-    """Finite linear combination of shift operators with polynomial coefficients."""
+class _KeyedOperator:
+    """sum_key f_key(x) * E_key, E_key the shift Sh_key or (d/dx)^key.
+
+    ``_terms`` maps each integer key to its nonzero coefficient, in ascending
+    key order.  A subclass sets ``_kind`` (for JSON), ``_key`` (the key's name)
+    and ``_min_key`` (or None), and defines apply, compose and its shape."""
 
     # _powers memoises this operator's powers for poly_of_op; not part of its value.
     __slots__ = ("_terms", "_powers")
 
-    def __init__(self, terms: Mapping[int, Union[Polynomial, RatLike]] = ()):
+    def __init__(self, items: Iterable[tuple[int, Union[Polynomial, RatLike]]] = ()):
         canon: dict[int, Polynomial] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for shift, coeff in items:
+        for key, coeff in items:
+            try:
+                key = index(key)
+            except TypeError:
+                raise ValueError(f"{self._key} must be an integer; got {key!r}") from None
+            if self._min_key is not None:
+                check_at_least(self._key, key, self._min_key)
             p = _as_coeff_poly(coeff)
             if p.is_zero():
                 continue
-            if shift in canon:
-                p = canon[shift] + p
+            if key in canon:
+                p = canon[key] + p
                 if p.is_zero():
-                    del canon[shift]
+                    del canon[key]
                     continue
-            canon[int(shift)] = p
+            canon[key] = p
         self._terms = dict(sorted(canon.items()))
-        self._powers: list[DifferenceOperator] = []
+        self._powers: list = []
+
+    @classmethod
+    def _of(cls, items):
+        """The operator with these (key, coefficient) terms, like terms summed."""
+        op = cls.__new__(cls)
+        _KeyedOperator.__init__(op, items)
+        return op
+
+    @classmethod
+    def identity(cls):
+        return cls._of([(0, Polynomial.one())])
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coeff(self, key: int) -> Polynomial:
+        return self._terms.get(key, Polynomial.zero())
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._of([*self._terms.items(), *other._terms.items()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of([(k, -f) for k, f in self._terms.items()])
+
+    def __mul__(self, scalar):
+        c = as_fraction(scalar)
+        return self._of([(k, f * c) for k, f in self._terms.items()])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(tuple(self._terms.items()))
+
+    def _check_kind(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(other).__name__} with {type(self).__name__}")
+
+
+class DifferenceOperator(_KeyedOperator):
+    """Finite linear combination of shift operators with polynomial coefficients."""
+
+    __slots__ = ()
+    _kind, _key, _min_key = "difference", "shift", None
+
+    def __init__(self, terms: Mapping[int, Union[Polynomial, RatLike]] = ()):
+        super().__init__(terms.items() if isinstance(terms, Mapping) else terms)
 
     @classmethod
     def shift(cls, offset: int, coeff: Union[Polynomial, RatLike] = 1) -> "DifferenceOperator":
-        return cls({offset: _as_coeff_poly(coeff)})
-
-    @classmethod
-    def identity(cls) -> "DifferenceOperator":
-        return cls.shift(0)
+        return cls({offset: coeff})
 
     @classmethod
     def forward_difference(cls) -> "DifferenceOperator":
@@ -99,12 +163,6 @@ class DifferenceOperator:
     @property
     def terms(self) -> dict[int, Polynomial]:
         return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, shift: int) -> Polynomial:
-        return self._terms.get(shift, Polynomial.zero())
 
     def genre(self) -> tuple[int, int]:
         if not self._terms:
@@ -129,6 +187,7 @@ class DifferenceOperator:
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
         # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.  The g
         # share one denominator, so each key's products sum in integers.
+        self._check_kind(other)
         gs, den = _common_ints(other._terms.values())
         by_key: dict[int, list] = {}
         for a, f in self._terms.items():
@@ -138,37 +197,9 @@ class DifferenceOperator:
                 if a:
                     _taylor_shift(shifted, a)
                 by_key.setdefault(a + b, []).append((fi, shifted))
-        return DifferenceOperator(
-            {key: _sum_of_products(pairs, den) for key, pairs in by_key.items()}
+        return DifferenceOperator._of(
+            (key, _sum_of_products(pairs, den)) for key, pairs in by_key.items()
         )
-
-    def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        if not isinstance(other, DifferenceOperator):
-            return NotImplemented
-        acc = dict(self._terms)
-        for shift, g in other._terms.items():
-            acc[shift] = acc[shift] + g if shift in acc else g
-        return DifferenceOperator(acc)
-
-    def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "DifferenceOperator":
-        return DifferenceOperator({s: -f for s, f in self._terms.items()})
-
-    def __mul__(self, scalar) -> "DifferenceOperator":
-        c = as_fraction(scalar)
-        return DifferenceOperator({s: f * c for s, f in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DifferenceOperator):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"DifferenceOperator({self._terms!r})"
@@ -179,151 +210,100 @@ class DifferenceOperator:
         return " + ".join(f"({f})*S[{s}]" for s, f in self._terms.items())
 
 
-class DifferentialOperator:
+class DifferentialOperator(_KeyedOperator):
     """Finite linear combination of d/dx powers with polynomial coefficients."""
 
-    # _powers memoises this operator's powers for poly_of_op; not part of its value.
-    __slots__ = ("_terms", "_powers")
+    __slots__ = ()
+    _kind, _key, _min_key = "differential", "order", 0
 
     def __init__(self, coeffs: Iterable[Union[Polynomial, RatLike]] = ()):
-        cs = [_as_coeff_poly(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self._terms = tuple(cs)
-        self._powers: list[DifferentialOperator] = []
-
-    @classmethod
-    def identity(cls) -> "DifferentialOperator":
-        return cls((Polynomial.one(),))
+        super().__init__(enumerate(coeffs))
 
     @classmethod
     def ddx(cls, order: int = 1, coeff: Union[Polynomial, RatLike] = 1) -> "DifferentialOperator":
-        return cls([Polynomial.zero()] * order + [_as_coeff_poly(coeff)])
+        return cls._of([(order, coeff)])
 
     @property
     def terms(self) -> tuple[Polynomial, ...]:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, order: int) -> Polynomial:
-        if 0 <= order < len(self._terms):
-            return self._terms[order]
-        return Polynomial.zero()
+        """The coefficients f_0, f_1, ..., f_order, zero where an order is absent."""
+        # tuple(list), not tuple(genexpr): the latter raised peak RSS under repeated calls.
+        zero = Polynomial.zero()
+        return tuple([self._terms.get(j, zero) for j in range(max(self._terms, default=-1) + 1)])
 
     def order(self) -> int:
         if not self._terms:
             raise OperatorError("order is undefined for the zero operator")
-        return len(self._terms) - 1
+        return max(self._terms)
 
     def in_algebra(self) -> bool:
-        """True when deg f_j <= j for every term (zero coeffs pass)."""
-        return all(f.is_zero() or f.degree <= j for j, f in enumerate(self._terms))
+        """True when deg f_j <= j for every term."""
+        return all(f.degree <= j for j, f in self._terms.items())
 
     def apply(self, p: Polynomial) -> Polynomial:
         d, den = p._ints()
         pairs = []
-        for f in self._terms:
+        j = 0  # d holds the j-th derivative of p
+        for order, f in self._terms.items():
+            while j < order and d:
+                d = [i * d[i] for i in range(1, len(d))]
+                j += 1
             if not d:
                 break
-            if not f.is_zero():
-                pairs.append((f._ints(), d))
-            d = [j * d[j] for j in range(1, len(d))]
+            pairs.append((f._ints(), d))
         return _sum_of_products(pairs, den)
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).  The g share
         # one denominator, so each order's products sum in integers.
-        gs, den = _common_ints(other._terms)
-        acc: list[list] = [[] for _ in range(len(self._terms) + len(gs))]
-        for i, f in enumerate(self._terms):
-            if f.is_zero():
-                continue
+        self._check_kind(other)
+        gs, den = _common_ints(other._terms.values())
+        by_key: dict[int, list] = {}
+        for i, f in self._terms.items():
             fi = f._ints()
-            for j, gm in enumerate(gs):
+            for j, gm in zip(other._terms, gs):
                 for m in range(i + 1):
                     if not gm:
                         break
-                    acc[i + j - m].append((fi, [comb(i, m) * c for c in gm]))
+                    by_key.setdefault(i + j - m, []).append((fi, [comb(i, m) * c for c in gm]))
                     gm = [e * gm[e] for e in range(1, len(gm))]
-        return DifferentialOperator([_sum_of_products(pairs, den) for pairs in acc])
-
-    def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        n = max(len(self._terms), len(other._terms))
-        return DifferentialOperator([self.coeff(j) + other.coeff(j) for j in range(n)])
-
-    def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "DifferentialOperator":
-        return DifferentialOperator([-f for f in self._terms])
-
-    def __mul__(self, scalar) -> "DifferentialOperator":
-        c = as_fraction(scalar)
-        return DifferentialOperator([f * c for f in self._terms])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
+        return DifferentialOperator._of(
+            (key, _sum_of_products(pairs, den)) for key, pairs in by_key.items()
+        )
 
     def __repr__(self) -> str:
-        return f"DifferentialOperator({list(self._terms)!r})"
+        return f"DifferentialOperator({list(self.terms)!r})"
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for j, f in enumerate(self._terms):
-            if f.is_zero():
-                continue
-            parts.append(f"({f})" if j == 0 else f"({f})*D^{j}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({f})" if j == 0 else f"({f})*D^{j}" for j, f in self._terms.items()
+        )
 
 
 Operator = Union[DifferenceOperator, DifferentialOperator]
 
 
 def identity_like(op: Operator) -> Operator:
-    if isinstance(op, DifferenceOperator):
-        return DifferenceOperator.identity()
-    return DifferentialOperator.identity()
+    return type(op).identity()
 
 
 def zero_like(op: Operator) -> Operator:
-    if isinstance(op, DifferenceOperator):
-        return DifferenceOperator()
-    return DifferentialOperator()
+    return type(op)()
 
 
 def _linear(pairs: list[tuple[Fraction, Operator]], like: Operator) -> Operator:
     """sum_i c_i * op_i for nonzero c_i and operators of the kind of ``like``.
 
-    Each shift (or order) sums c_i times its coefficient of op_i on integer
-    numerators, with one lcm and one reduction (``_sum_of_products``)."""
-    kind = type(like)
+    Each key sums c_i times its coefficient of op_i on integer numerators,
+    with one lcm and one reduction (``_sum_of_products``)."""
     by_key: dict[int, list] = {}
     for c, op in pairs:
-        if type(op) is not kind:
-            raise TypeError(f"cannot combine {type(op).__name__} with {kind.__name__}")
-        items = op._terms.items() if kind is DifferenceOperator else enumerate(op._terms)
-        for key, f in items:
-            if not f.is_zero():
-                nums, den = f._ints()
-                by_key.setdefault(key, []).append(((nums, den * c.denominator), [c.numerator]))
-    sums = {key: _sum_of_products(terms, 1) for key, terms in by_key.items()}
-    if kind is DifferenceOperator:
-        return DifferenceOperator(sums)
-    top = max(sums, default=-1)
-    return DifferentialOperator([sums.get(j, Polynomial.zero()) for j in range(top + 1)])
+        like._check_kind(op)
+        for key, f in op._terms.items():
+            nums, den = f._ints()
+            by_key.setdefault(key, []).append(((nums, den * c.denominator), [c.numerator]))
+    return type(like)._of((key, _sum_of_products(terms, 1)) for key, terms in by_key.items())
 
 
 def _power(op: Operator, j: int) -> Operator:
@@ -353,35 +333,15 @@ def op_linear(pairs: Iterable[tuple[RatLike, Operator]]) -> Operator:
 
 
 def operator_to_json(op: Operator) -> dict:
-    if isinstance(op, DifferenceOperator):
-        return {
-            "kind": "difference",
-            "terms": [
-                {"shift": s, "coeffs": f.to_json()} for s, f in sorted(op.terms.items())
-            ],
-        }
     return {
-        "kind": "differential",
-        "terms": [
-            {"order": j, "coeffs": f.to_json()}
-            for j, f in enumerate(op.terms)
-            if not f.is_zero()
-        ],
+        "kind": op._kind,
+        "terms": [{op._key: key, "coeffs": f.to_json()} for key, f in op._terms.items()],
     }
 
 
 def operator_from_json(data: dict) -> Operator:
     kind = data.get("kind")
-    if kind == "difference":
-        return DifferenceOperator(
-            {int(t["shift"]): Polynomial.from_json(t["coeffs"]) for t in data["terms"]}
-        )
-    if kind == "differential":
-        if not data["terms"]:
-            return DifferentialOperator()
-        top = max(int(t["order"]) for t in data["terms"])
-        coeffs = [Polynomial.zero()] * (top + 1)
-        for t in data["terms"]:
-            coeffs[int(t["order"])] = Polynomial.from_json(t["coeffs"])
-        return DifferentialOperator(coeffs)
+    for cls in (DifferenceOperator, DifferentialOperator):
+        if cls._kind == kind:
+            return cls._of((t[cls._key], Polynomial.from_json(t["coeffs"])) for t in data["terms"])
     raise ValueError(f"unknown operator kind: {kind!r}")

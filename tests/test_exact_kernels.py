@@ -29,6 +29,12 @@ of operator powers.  The references are the former ``Fraction``-tuple
 ``Polynomial`` methods (the class ``RefPolynomial``) and the former
 ``poly_of_op`` and ``op_linear`` bodies, and results and raised errors must
 match exactly.
+
+Both operator kinds now share one keyed-term representation and one set of
+linear-space methods.  The reference is the former pair of classes and the
+module functions over them, verbatim (``ref_opalg``); every value-level
+method, ``str``, ``repr``, JSON and the combinations must match, errors
+included.
 """
 
 from __future__ import annotations
@@ -36,17 +42,20 @@ from __future__ import annotations
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
+from types import SimpleNamespace
+from typing import Iterable, Mapping, Union
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from krallops import moments
+from krallops import moments, opalg
 from krallops.errors import (
     DegeneracyError,
     KrallopsError,
     NoOrthogonalPolynomialsError,
+    OperatorError,
     check_at_least,
 )
 from krallops.families import (
@@ -86,6 +95,9 @@ from krallops.moments import (
 from krallops.opalg import (
     DifferenceOperator,
     DifferentialOperator,
+    _as_coeff_poly,
+    _common_ints,
+    _sum_of_products,
     identity_like,
     op_linear,
     poly_of_op,
@@ -93,6 +105,7 @@ from krallops.opalg import (
 )
 from krallops.polyops import (
     Polynomial,
+    RatLike,
     _taylor_shift,
     as_fraction,
     binom_scalar,
@@ -1172,3 +1185,474 @@ def test_poly_of_op_matches_term_by_term_powers(op, p, q):
 def test_op_linear_matches_term_by_term_sum(pairs):
     got = settled(op_linear, pairs)
     assert got == settled(ref_op_linear, pairs)
+
+
+# -- one operator algebra: the merged operator kinds against the former classes ----------
+
+
+def _former_opalg() -> SimpleNamespace:
+    """The former two operator classes and the module functions over them,
+    verbatim.  They live in this function so that their bodies' own names,
+    and the names in their reprs and error messages, resolve to each other."""
+
+    class DifferenceOperator:
+        """Finite linear combination of shift operators with polynomial coefficients."""
+
+        # _powers memoises this operator's powers for poly_of_op; not part of its value.
+        __slots__ = ("_terms", "_powers")
+
+        def __init__(self, terms: Mapping[int, Union[Polynomial, RatLike]] = ()):
+            canon: dict[int, Polynomial] = {}
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            for shift, coeff in items:
+                p = _as_coeff_poly(coeff)
+                if p.is_zero():
+                    continue
+                if shift in canon:
+                    p = canon[shift] + p
+                    if p.is_zero():
+                        del canon[shift]
+                        continue
+                canon[int(shift)] = p
+            self._terms = dict(sorted(canon.items()))
+            self._powers: list[DifferenceOperator] = []
+
+        @classmethod
+        def shift(cls, offset: int, coeff: Union[Polynomial, RatLike] = 1) -> "DifferenceOperator":
+            return cls({offset: _as_coeff_poly(coeff)})
+
+        @classmethod
+        def identity(cls) -> "DifferenceOperator":
+            return cls.shift(0)
+
+        @classmethod
+        def forward_difference(cls) -> "DifferenceOperator":
+            """Sh_1 - Sh_0."""
+            return cls({1: Polynomial.one(), 0: Polynomial((-1,))})
+
+        @classmethod
+        def backward_difference(cls) -> "DifferenceOperator":
+            """Sh_0 - Sh_{-1}."""
+            return cls({0: Polynomial.one(), -1: Polynomial((-1,))})
+
+        @property
+        def terms(self) -> dict[int, Polynomial]:
+            return dict(self._terms)
+
+        def is_zero(self) -> bool:
+            return not self._terms
+
+        def coeff(self, shift: int) -> Polynomial:
+            return self._terms.get(shift, Polynomial.zero())
+
+        def genre(self) -> tuple[int, int]:
+            if not self._terms:
+                raise OperatorError("genre is undefined for the zero operator")
+            shifts = self._terms.keys()
+            return (min(shifts), max(shifts))
+
+        def order(self) -> int:
+            s, r = self.genre()
+            return r - s
+
+        def apply(self, p: Polynomial) -> Polynomial:
+            q, den = p._ints()
+            pairs = []
+            for shift, f in self._terms.items():
+                qs = list(q)
+                if shift:
+                    _taylor_shift(qs, shift)
+                pairs.append((f._ints(), qs))
+            return _sum_of_products(pairs, den)
+
+        def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
+            # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.  The g
+            # share one denominator, so each key's products sum in integers.
+            gs, den = _common_ints(other._terms.values())
+            by_key: dict[int, list] = {}
+            for a, f in self._terms.items():
+                fi = f._ints()
+                for b, g in zip(other._terms, gs):
+                    shifted = list(g)
+                    if a:
+                        _taylor_shift(shifted, a)
+                    by_key.setdefault(a + b, []).append((fi, shifted))
+            return DifferenceOperator(
+                {key: _sum_of_products(pairs, den) for key, pairs in by_key.items()}
+            )
+
+        def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
+            if not isinstance(other, DifferenceOperator):
+                return NotImplemented
+            acc = dict(self._terms)
+            for shift, g in other._terms.items():
+                acc[shift] = acc[shift] + g if shift in acc else g
+            return DifferenceOperator(acc)
+
+        def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
+            return self + (-other)
+
+        def __neg__(self) -> "DifferenceOperator":
+            return DifferenceOperator({s: -f for s, f in self._terms.items()})
+
+        def __mul__(self, scalar) -> "DifferenceOperator":
+            c = as_fraction(scalar)
+            return DifferenceOperator({s: f * c for s, f in self._terms.items()})
+
+        __rmul__ = __mul__
+
+        def __eq__(self, other) -> bool:
+            if not isinstance(other, DifferenceOperator):
+                return NotImplemented
+            return self._terms == other._terms
+
+        def __hash__(self):
+            return hash(tuple(self._terms.items()))
+
+        def __repr__(self) -> str:
+            return f"DifferenceOperator({self._terms!r})"
+
+        def __str__(self) -> str:
+            if not self._terms:
+                return "0"
+            return " + ".join(f"({f})*S[{s}]" for s, f in self._terms.items())
+
+
+    class DifferentialOperator:
+        """Finite linear combination of d/dx powers with polynomial coefficients."""
+
+        # _powers memoises this operator's powers for poly_of_op; not part of its value.
+        __slots__ = ("_terms", "_powers")
+
+        def __init__(self, coeffs: Iterable[Union[Polynomial, RatLike]] = ()):
+            cs = [_as_coeff_poly(c) for c in coeffs]
+            while cs and cs[-1].is_zero():
+                cs.pop()
+            self._terms = tuple(cs)
+            self._powers: list[DifferentialOperator] = []
+
+        @classmethod
+        def identity(cls) -> "DifferentialOperator":
+            return cls((Polynomial.one(),))
+
+        @classmethod
+        def ddx(cls, order: int = 1, coeff: Union[Polynomial, RatLike] = 1) -> "DifferentialOperator":
+            return cls([Polynomial.zero()] * order + [_as_coeff_poly(coeff)])
+
+        @property
+        def terms(self) -> tuple[Polynomial, ...]:
+            return self._terms
+
+        def is_zero(self) -> bool:
+            return not self._terms
+
+        def coeff(self, order: int) -> Polynomial:
+            if 0 <= order < len(self._terms):
+                return self._terms[order]
+            return Polynomial.zero()
+
+        def order(self) -> int:
+            if not self._terms:
+                raise OperatorError("order is undefined for the zero operator")
+            return len(self._terms) - 1
+
+        def in_algebra(self) -> bool:
+            """True when deg f_j <= j for every term (zero coeffs pass)."""
+            return all(f.is_zero() or f.degree <= j for j, f in enumerate(self._terms))
+
+        def apply(self, p: Polynomial) -> Polynomial:
+            d, den = p._ints()
+            pairs = []
+            for f in self._terms:
+                if not d:
+                    break
+                if not f.is_zero():
+                    pairs.append((f._ints(), d))
+                d = [j * d[j] for j in range(1, len(d))]
+            return _sum_of_products(pairs, den)
+
+        def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
+            # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).  The g share
+            # one denominator, so each order's products sum in integers.
+            gs, den = _common_ints(other._terms)
+            acc: list[list] = [[] for _ in range(len(self._terms) + len(gs))]
+            for i, f in enumerate(self._terms):
+                if f.is_zero():
+                    continue
+                fi = f._ints()
+                for j, gm in enumerate(gs):
+                    for m in range(i + 1):
+                        if not gm:
+                            break
+                        acc[i + j - m].append((fi, [comb(i, m) * c for c in gm]))
+                        gm = [e * gm[e] for e in range(1, len(gm))]
+            return DifferentialOperator([_sum_of_products(pairs, den) for pairs in acc])
+
+        def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
+            if not isinstance(other, DifferentialOperator):
+                return NotImplemented
+            n = max(len(self._terms), len(other._terms))
+            return DifferentialOperator([self.coeff(j) + other.coeff(j) for j in range(n)])
+
+        def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
+            return self + (-other)
+
+        def __neg__(self) -> "DifferentialOperator":
+            return DifferentialOperator([-f for f in self._terms])
+
+        def __mul__(self, scalar) -> "DifferentialOperator":
+            c = as_fraction(scalar)
+            return DifferentialOperator([f * c for f in self._terms])
+
+        __rmul__ = __mul__
+
+        def __eq__(self, other) -> bool:
+            if not isinstance(other, DifferentialOperator):
+                return NotImplemented
+            return self._terms == other._terms
+
+        def __hash__(self):
+            return hash(self._terms)
+
+        def __repr__(self) -> str:
+            return f"DifferentialOperator({list(self._terms)!r})"
+
+        def __str__(self) -> str:
+            if not self._terms:
+                return "0"
+            parts = []
+            for j, f in enumerate(self._terms):
+                if f.is_zero():
+                    continue
+                parts.append(f"({f})" if j == 0 else f"({f})*D^{j}")
+            return " + ".join(parts)
+
+
+    Operator = Union[DifferenceOperator, DifferentialOperator]
+
+
+    def identity_like(op: Operator) -> Operator:
+        if isinstance(op, DifferenceOperator):
+            return DifferenceOperator.identity()
+        return DifferentialOperator.identity()
+
+
+    def zero_like(op: Operator) -> Operator:
+        if isinstance(op, DifferenceOperator):
+            return DifferenceOperator()
+        return DifferentialOperator()
+
+
+    def _linear(pairs: list[tuple[Fraction, Operator]], like: Operator) -> Operator:
+        """sum_i c_i * op_i for nonzero c_i and operators of the kind of ``like``.
+
+        Each shift (or order) sums c_i times its coefficient of op_i on integer
+        numerators, with one lcm and one reduction (``_sum_of_products``)."""
+        kind = type(like)
+        by_key: dict[int, list] = {}
+        for c, op in pairs:
+            if type(op) is not kind:
+                raise TypeError(f"cannot combine {type(op).__name__} with {kind.__name__}")
+            items = op._terms.items() if kind is DifferenceOperator else enumerate(op._terms)
+            for key, f in items:
+                if not f.is_zero():
+                    nums, den = f._ints()
+                    by_key.setdefault(key, []).append(((nums, den * c.denominator), [c.numerator]))
+        sums = {key: _sum_of_products(terms, 1) for key, terms in by_key.items()}
+        if kind is DifferenceOperator:
+            return DifferenceOperator(sums)
+        top = max(sums, default=-1)
+        return DifferentialOperator([sums.get(j, Polynomial.zero()) for j in range(top + 1)])
+
+
+    def _power(op: Operator, j: int) -> Operator:
+        """op^j; each power is composed once per operator object and kept on it."""
+        if j <= 1:
+            return op if j else identity_like(op)
+        powers = op._powers  # op^2, op^3, ...; op itself is not kept, so no cycle
+        while len(powers) < j - 1:
+            powers.append((powers[-1] if powers else op).compose(op))
+        return powers[j - 2]
+
+
+    def poly_of_op(p: Polynomial, op: Operator) -> Operator:
+        """Substitute an operator into a polynomial: sum_j a_j * op^j, op^0 = identity."""
+        return _linear([(c, _power(op, j)) for j, c in enumerate(p.coeffs) if c], op)
+
+
+    def op_linear(pairs: Iterable[tuple[RatLike, Operator]]) -> Operator:
+        """Exact linear combination sum_i c_i * op_i (all of one kind)."""
+        pairs = [(as_fraction(c), op) for c, op in pairs]
+        if not pairs:
+            raise ValueError("op_linear needs at least one term")
+        return _linear([(c, op) for c, op in pairs if c], pairs[0][1])
+
+
+    # -- JSON round-trip -----------------------------------------------------------
+
+
+    def operator_to_json(op: Operator) -> dict:
+        if isinstance(op, DifferenceOperator):
+            return {
+                "kind": "difference",
+                "terms": [
+                    {"shift": s, "coeffs": f.to_json()} for s, f in sorted(op.terms.items())
+                ],
+            }
+        return {
+            "kind": "differential",
+            "terms": [
+                {"order": j, "coeffs": f.to_json()}
+                for j, f in enumerate(op.terms)
+                if not f.is_zero()
+            ],
+        }
+
+
+    def operator_from_json(data: dict) -> Operator:
+        kind = data.get("kind")
+        if kind == "difference":
+            return DifferenceOperator(
+                {int(t["shift"]): Polynomial.from_json(t["coeffs"]) for t in data["terms"]}
+            )
+        if kind == "differential":
+            if not data["terms"]:
+                return DifferentialOperator()
+            top = max(int(t["order"]) for t in data["terms"])
+            coeffs = [Polynomial.zero()] * (top + 1)
+            for t in data["terms"]:
+                coeffs[int(t["order"])] = Polynomial.from_json(t["coeffs"])
+            return DifferentialOperator(coeffs)
+        raise ValueError(f"unknown operator kind: {kind!r}")
+
+    return SimpleNamespace(
+        DifferenceOperator=DifferenceOperator,
+        DifferentialOperator=DifferentialOperator,
+        identity_like=identity_like,
+        zero_like=zero_like,
+        poly_of_op=poly_of_op,
+        op_linear=op_linear,
+        operator_to_json=operator_to_json,
+        operator_from_json=operator_from_json,
+    )
+
+
+ref_opalg = _former_opalg()
+OPERATOR_KINDS = DIFFERENCE, DIFFERENTIAL = ("DifferenceOperator", "DifferentialOperator")
+
+
+def as_poly(c) -> Polynomial:
+    return c if isinstance(c, Polynomial) else Polynomial((c,))
+
+
+# Coefficient inputs of every form the constructors take, zero among them.
+coeff_inputs = st.one_of(tiny_polys, st.just(0), small, small.map(fraction_to_str))
+
+
+@st.composite
+def operator_inputs(draw, kind):
+    """Constructor input of one kind: zero coefficients (interior and trailing
+    orders among them) and, for shifts, like keys, some of which cancel."""
+    if kind == DIFFERENTIAL:
+        return draw(st.lists(coeff_inputs, max_size=5))
+    pairs = draw(st.lists(st.tuples(st.integers(-3, 3), coeff_inputs), max_size=4))
+    if pairs:
+        cancel = draw(st.lists(st.sampled_from(pairs), max_size=2))
+        pairs += [(s, -as_poly(c)) for s, c in cancel]
+    return dict(pairs) if draw(st.booleans()) else pairs
+
+
+@st.composite
+def operand_pairs(draw):
+    """(kind_a, input_a, kind_b, input_b).  Half the time b is a's terms times
+    one sign, some dropped, so that a + b or a - b cancels terms."""
+    kind_a = draw(st.sampled_from(OPERATOR_KINDS))
+    a = draw(operator_inputs(kind_a))
+    if draw(st.booleans()):
+        kind_b = draw(st.sampled_from(OPERATOR_KINDS))
+        return kind_a, a, kind_b, draw(operator_inputs(kind_b))
+    sign = draw(st.sampled_from([1, -1]))
+    items = list(a.items() if isinstance(a, dict) else a)
+    keep = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    if kind_a == DIFFERENTIAL:
+        return kind_a, a, kind_a, [as_poly(c) * sign if k else 0 for c, k in zip(items, keep)]
+    return kind_a, a, kind_a, [(s, as_poly(c) * sign) for (s, c), k in zip(items, keep) if k]
+
+
+def same_kind(a, b):
+    return b if type(b) is type(a) else a
+
+
+OPERATOR_METHODS = {
+    "terms": lambda ns, a, b, c, j, p: a.terms,
+    "coeff": lambda ns, a, b, c, j, p: a.coeff(j),
+    "is_zero": lambda ns, a, b, c, j, p: a.is_zero(),
+    "order": lambda ns, a, b, c, j, p: a.order(),
+    "genre": lambda ns, a, b, c, j, p: a.genre(),
+    "in_algebra": lambda ns, a, b, c, j, p: a.in_algebra(),
+    "add": lambda ns, a, b, c, j, p: a + b,
+    "sub": lambda ns, a, b, c, j, p: a - b,
+    "neg": lambda ns, a, b, c, j, p: -a,
+    "mul_scalar": lambda ns, a, b, c, j, p: a * c,
+    "rmul_scalar": lambda ns, a, b, c, j, p: c * a,
+    "eq": lambda ns, a, b, c, j, p: (a == b, a != b, a == a * 1),
+    "hash_follows_eq": lambda ns, a, b, c, j, p: a != b or hash(a) == hash(b),
+    "str": lambda ns, a, b, c, j, p: str(a),
+    "repr": lambda ns, a, b, c, j, p: repr(a),
+    "apply": lambda ns, a, b, c, j, p: a.apply(p),
+    "compose": lambda ns, a, b, c, j, p: a.compose(same_kind(a, b)),
+    "identity_like": lambda ns, a, b, c, j, p: ns.identity_like(a),
+    "zero_like": lambda ns, a, b, c, j, p: ns.zero_like(a),
+    "shift": lambda ns, a, b, c, j, p: ns.DifferenceOperator.shift(j, c),
+    "ddx": lambda ns, a, b, c, j, p: ns.DifferentialOperator.ddx(max(j, 0), c),
+    "to_json": lambda ns, a, b, c, j, p: ns.operator_to_json(a),
+    "from_json": lambda ns, a, b, c, j, p: ns.operator_from_json(ns.operator_to_json(a)),
+    "poly_of_op": lambda ns, a, b, c, j, p: ns.poly_of_op(p, a),
+    "op_linear": lambda ns, a, b, c, j, p: ns.op_linear([(c, a), (j, b), (p.lead, a)]),
+}
+
+
+def plain(value):
+    """value with polynomials as coefficient tuples and operators as their
+    kind and terms; each operator of the merged kinds must be canonical."""
+    if isinstance(value, Polynomial):
+        assert_canonical(value)
+        return "poly", value.coeffs
+    if isinstance(value, (DifferenceOperator, DifferentialOperator)):
+        assert list(value._terms) == sorted(value._terms)
+        assert all(type(k) is int and not f.is_zero() for k, f in value._terms.items())
+    if hasattr(value, "_terms"):
+        return type(value).__name__, plain(value.terms)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(plain(v) for v in value)
+    return value
+
+
+def operator_outcome(ns, method, kind_a, a, kind_b, b, c, j, p):
+    """The plain value of one method on operators of ``ns``, or the type and
+    message of what it raises."""
+    a, b = getattr(ns, kind_a)(a), getattr(ns, kind_b)(b)
+    try:
+        got = OPERATOR_METHODS[method](ns, a, b, c, j, p)
+    except (ArithmeticError, AttributeError, KrallopsError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return plain(got)
+
+
+# Scalars, bad ones among them: a float, a zero denominator and text.
+scalar_operands = st.one_of(operands, st.sampled_from([None, 0.5, "1/0", "x"]))
+INTERIOR_ZERO = [ZERO, 0, CONST, "0/4", Polynomial((0, Fraction(2, 3)))]
+
+
+@pytest.mark.parametrize("method", OPERATOR_METHODS)
+@given(operand_pairs(), scalar_operands, st.integers(-2, 6), tiny_polys)
+@settings(max_examples=100, deadline=None)
+@example((DIFFERENCE, {}, DIFFERENTIAL, []), 0, 0, ZERO)
+@example((DIFFERENTIAL, INTERIOR_ZERO, DIFFERENTIAL, [0, 0, -CONST]), 2, 2, CONST)
+@example((DIFFERENCE, [(1, CONST), (1, -CONST)], DIFFERENCE, {}), "1/3", 1, CONST)
+@example((DIFFERENCE, {-2: CONST}, DIFFERENCE, [(-2, -CONST)]), None, -2, ZERO)
+def test_operator_methods_match_former_classes(method, operands, c, j, p):
+    got = operator_outcome(opalg, method, *operands, c, j, p)
+    assert got == operator_outcome(ref_opalg, method, *operands, c, j, p)

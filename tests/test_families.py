@@ -9,6 +9,7 @@ import pytest
 
 from krallops.errors import DegeneracyError
 from krallops.families import (
+    FAMILY_PARAM_FIELDS,
     Charlier,
     Hahn,
     Jacobi,
@@ -106,6 +107,22 @@ def test_expand_in_family_basis():
     poly = fam.polynomial(3) * F(2) - fam.polynomial(1) * F(1, 3)
     coords = expand_in_family_basis(fam, poly)
     assert coords == [F(0), F(-1, 3), F(0), F(2)]
+
+
+
+def test_family_table_follows_the_dataclass_fields():
+    # Names, keys and field order are part of every report and CLI flag set.
+    assert list(FAMILY_PARAM_FIELDS.items()) == [
+        ("charlier", ("a",)),
+        ("meixner", ("a", "c")),
+        ("krawtchouk", ("a", "N")),
+        ("hahn", ("alpha", "c", "N")),
+        ("laguerre", ("alpha",)),
+        ("jacobi", ("alpha", "beta")),
+    ]
+    hahn = family_from_name("hahn", {"N": 3, "c": "1/2", "alpha": 2})
+    assert hahn == Hahn(F(2), F(1, 2), F(3))
+    assert list(family_to_json(hahn)["params"]) == ["alpha", "c", "N"]
 
 
 # -- lowering/raising ladders -----------------------------------------------------

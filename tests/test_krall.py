@@ -6,11 +6,12 @@ import dataclasses
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 from krallops.dops import catalog
-from krallops.errors import ConstructionError, HypothesisError
+from krallops.errors import ConstructionError, DegeneracyError, HypothesisError
 from krallops.families import (
     Charlier,
     Hahn,
@@ -267,6 +268,23 @@ def test_band_profile_builds_each_q_once(monkeypatch):
     prof = band_profile(ch, Polynomial.from_roots([-1, -2, -3]), 20)
     assert sorted(built) == list(range(24))
     assert sorted(prof) == list(range(21))
+
+
+def test_graded_expansions_keep_their_errors():
+    # Both expansions peel one graded basis; a basis of constants is not graded.
+    flat = [Polynomial.one()] * 4
+    with pytest.raises(DegeneracyError, match="^family basis expansion failed to terminate$"):
+        expand_in_family_basis(SimpleNamespace(polynomial=flat.__getitem__), Polynomial.x())
+    with pytest.raises(ConstructionError, match="^q-basis expansion failed; q_m are not graded$"):
+        band_profile(SimpleNamespace(q_sequence=lambda n: flat[: n + 1]), Polynomial.x(), 0)
+
+
+def test_family_expansion_builds_only_the_members_it_needs():
+    fam = Charlier(Fraction(1, 3))
+    built = []
+    basis = SimpleNamespace(polynomial=lambda m: built.append(m) or fam.polynomial(m))
+    assert expand_in_family_basis(basis, fam.polynomial(5) * 2) == [0] * 5 + [2]
+    assert built == [5]
 
 
 def test_krall_ortho_band_builds_each_q_once(monkeypatch):

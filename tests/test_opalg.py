@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,38 @@ def test_str_rendering():
     assert "S[-1]" in str(op) and "S[1]" in str(op)
     dop = DifferentialOperator.ddx(2, Polynomial((0, 1)))
     assert "D^2" in str(dop)
+
+
+def _differential_doc(*orders):
+    return {"kind": "differential", "terms": [{"order": j, "coeffs": ["1"]} for j in orders]}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DifferentialOperator.ddx(-1, Polynomial((0, 1))), "order must be >= 0; got -1"),
+        (lambda: DifferentialOperator.ddx(1.0), "order must be an integer; got 1.0"),
+        (
+            lambda: DifferenceOperator({Fraction(1, 2): 1}),
+            "shift must be an integer; got Fraction(1, 2)",
+        ),
+        (lambda: DifferenceOperator([("1", 1)]), "shift must be an integer; got '1'"),
+        (lambda: DifferenceOperator.shift(1.5), "shift must be an integer; got 1.5"),
+        (lambda: operator_from_json(_differential_doc(-1, 2)), "order must be >= 0; got -1"),
+        (lambda: operator_from_json(_differential_doc(-1)), "order must be >= 0; got -1"),
+    ],
+    ids=["ddx-negative", "ddx-float", "fraction-shift", "str-shift", "float-shift",
+         "json-negative-order", "json-lone-negative-order"],
+)
+def test_operator_keys_are_checked(build, message):
+    # Each was silently misread (or raised a bare IndexError) before keys were checked.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_compose_rejects_the_other_kind():
+    shift, ddx = DifferenceOperator.shift(1), DifferentialOperator.ddx(1)
+    for left, right in ((shift, ddx), (ddx, shift)):
+        message = f"^cannot combine {type(right).__name__} with {type(left).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            left.compose(right)
