@@ -4,16 +4,18 @@ A first-kind operator acts on the family as the alternating series
     sum_{j>=1} (-1)^{j+1} eps_n eps_{n-1} ... eps_{n-j+1} p_{n-j},
 a second-kind operator additionally carries a sequence sigma_n:
     -(sigma_{n+1}/2) p_n + sum_{j>=1} (-1)^{j+1} sigma_{n+1-j} (eps products) p_{n-j}.
-Each catalog entry pairs the defining sequences with a closed-form
-difference or differential operator; verify_dop checks the two agree on
-p_0..p_N and reports witnesses instead of raising.
+The catalog is one table keyed by family type; each row pairs the defining
+sequences with a closed-form difference or differential operator, and
+verify_dop checks the two agree on p_0..p_N, reporting witnesses instead
+of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, check_at_least
 from .families import Charlier, Family, Hahn, Jacobi, Krawtchouk, Laguerre, Meixner
@@ -93,159 +95,135 @@ def verify_dop(dop: DOperator, nmax: int) -> DopVerification:
     return DopVerification(dop_label=dop.label, nmax=nmax, checks=checks)
 
 
+def _hahn_eps(fam: Hahn, n: int, numerator: Fraction) -> Fraction:
+    """numerator / ((2n+alpha+c-N-1)(2n+alpha+c-N-2))."""
+    s = fam.alpha + fam.c - fam.N
+    d = (2 * n + s - 1) * (2 * n + s - 2)
+    if d == 0:
+        raise DegeneracyError(
+            f"Hahn lowering sequence degenerate at n={n}:"
+            " (2n+alpha+c-N-1)(2n+alpha+c-N-2) = 0"
+        )
+    return numerator / d
+
+
+def _hahn_form(fam: Hahn, coeff: Polynomial, forward: bool) -> DifferenceOperator:
+    """coeff(x) Delta - h, or coeff(x) Nabla + h, with h = (alpha+c-N)/2."""
+    half = (fam.alpha + fam.c - fam.N) / 2
+    diff, half = (_DELTA, -half) if forward else (_NABLA, half)
+    return DifferenceOperator({0: coeff}).compose(diff) + DifferenceOperator.identity() * half
+
+
+def _jacobi_eps(fam: Jacobi, n: int, top: Fraction) -> Fraction:
+    """(n + top) / (n + alpha + beta)."""
+    d = n + fam.alpha + fam.beta
+    if d == 0:
+        raise DegeneracyError(f"Jacobi lowering sequence degenerate: n+alpha+beta = 0 at n={n}")
+    return (n + top) / d
+
+
+class _Row(NamedTuple):
+    """One catalog entry, as functions of the family.  ``sign`` is sigma_n
+    against ``family.sigma`` for a second-kind operator, None for a first-kind one."""
+
+    label: str
+    eps: Callable[[Family, int], Fraction]
+    sign: Optional[int]
+    closed_form: Callable[[Family], Operator]
+
+
+_DELTA = DifferenceOperator.forward_difference()
+_NABLA = DifferenceOperator.backward_difference()
+
+_CATALOG: dict[type, tuple[_Row, ...]] = {
+    Charlier: (
+        _Row(
+            "charlier-D1",
+            lambda f, n: Fraction(1),
+            None,
+            lambda f: DifferenceOperator.backward_difference(),
+        ),
+    ),
+    Meixner: (
+        _Row("meixner-D1", lambda f, n: Fraction(-1), None, lambda f: _DELTA * (f.a / (1 - f.a))),
+        _Row("meixner-D2", lambda f, n: -1 / f.a, None, lambda f: _NABLA * (1 / (1 - f.a))),
+    ),
+    Krawtchouk: (
+        _Row("krawtchouk-D1", lambda f, n: 1 / (1 + f.a), None, lambda f: _NABLA * (1 / (1 + f.a))),
+        _Row(
+            "krawtchouk-D2",
+            lambda f, n: -f.a / (1 + f.a),
+            None,
+            lambda f: _DELTA * (-f.a / (1 + f.a)),
+        ),
+    ),
+    Hahn: (
+        _Row(
+            "hahn-D1",
+            lambda f, n: _hahn_eps(f, n, n * (f.N - n) * (n + f.alpha - f.N)),
+            1,
+            lambda f: _hahn_form(f, Polynomial((f.N - 1, -1)), forward=True),
+        ),
+        _Row(
+            "hahn-D2",
+            lambda f, n: _hahn_eps(f, n, n * (n + f.alpha - f.N) * (n + f.alpha + f.c - 1)),
+            -1,
+            lambda f: _hahn_form(f, Polynomial((-f.alpha, 1)), forward=False),
+        ),
+        _Row(
+            "hahn-D3",
+            lambda f, n: _hahn_eps(f, n, -n * (f.N - n) * (n + f.c - 1)),
+            -1,
+            lambda f: _hahn_form(f, Polynomial.x(), forward=False),
+        ),
+        _Row(
+            "hahn-D4",
+            lambda f, n: _hahn_eps(f, n, -n * (n + f.c - 1) * (n + f.alpha + f.c - 1)),
+            1,
+            lambda f: _hahn_form(f, Polynomial((-f.c, -1)), forward=True),
+        ),
+    ),
+    Laguerre: (
+        _Row("laguerre-D1", lambda f, n: Fraction(-1), None, lambda f: DifferentialOperator.ddx()),
+    ),
+    Jacobi: (
+        _Row(
+            "jacobi-D1",
+            lambda f, n: _jacobi_eps(f, n, f.alpha),
+            1,
+            lambda f: DifferentialOperator(
+                (Polynomial((-(f.alpha + f.beta + 1) / 2,)), Polynomial((1, -1)))
+            ),
+        ),
+        _Row(
+            "jacobi-D2",
+            lambda f, n: -_jacobi_eps(f, n, f.beta),
+            -1,
+            lambda f: DifferentialOperator(
+                (Polynomial(((f.alpha + f.beta + 1) / 2,)), Polynomial((1, 1)))
+            ),
+        ),
+    ),
+}
+
+
+def _signed_sigma(sign: int, family: Family, n: int) -> Fraction:
+    return sign * family.sigma(n)
+
+
 def catalog(family: Family) -> list[DOperator]:
     """All lowering operators this package knows for the given family."""
-    if isinstance(family, Charlier):
-        return [
-            DOperator(
-                kind="type1",
-                family=family,
-                label="charlier-D1",
-                eps=lambda n: Fraction(1),
-                closed_form=DifferenceOperator.backward_difference(),
-            )
-        ]
-    if isinstance(family, Meixner):
-        a = family.a
-        delta = DifferenceOperator.forward_difference()
-        nabla = DifferenceOperator.backward_difference()
-        return [
-            DOperator(
-                kind="type1",
-                family=family,
-                label="meixner-D1",
-                eps=lambda n: Fraction(-1),
-                closed_form=delta * (a / (1 - a)),
-            ),
-            DOperator(
-                kind="type1",
-                family=family,
-                label="meixner-D2",
-                eps=lambda n: -1 / a,
-                closed_form=nabla * (1 / (1 - a)),
-            ),
-        ]
-    if isinstance(family, Krawtchouk):
-        a = family.a
-        delta = DifferenceOperator.forward_difference()
-        nabla = DifferenceOperator.backward_difference()
-        return [
-            DOperator(
-                kind="type1",
-                family=family,
-                label="krawtchouk-D1",
-                eps=lambda n: 1 / (1 + a),
-                closed_form=nabla * (1 / (1 + a)),
-            ),
-            DOperator(
-                kind="type1",
-                family=family,
-                label="krawtchouk-D2",
-                eps=lambda n: -a / (1 + a),
-                closed_form=delta * (-a / (1 + a)),
-            ),
-        ]
-    if isinstance(family, Hahn):
-        al, c, N = family.alpha, family.c, family.N
-        half = (al + c - N) / 2
-
-        def denom(n: int) -> Fraction:
-            d = (2 * n + al + c - N - 1) * (2 * n + al + c - N - 2)
-            if d == 0:
-                raise DegeneracyError(
-                    f"Hahn lowering sequence degenerate at n={n}:"
-                    " (2n+alpha+c-N-1)(2n+alpha+c-N-2) = 0"
-                )
-            return d
-
-        delta = DifferenceOperator.forward_difference()
-        nabla = DifferenceOperator.backward_difference()
-        ident = DifferenceOperator.identity()
-        x = Polynomial.x()
-        d1 = DifferenceOperator({0: Polynomial((N - 1, -1))}).compose(delta) - ident * half
-        d2 = DifferenceOperator({0: Polynomial((-al, 1))}).compose(nabla) + ident * half
-        d3 = DifferenceOperator({0: x}).compose(nabla) + ident * half
-        d4 = DifferenceOperator({0: Polynomial((-c, -1))}).compose(delta) - ident * half
-        sig = family.sigma
-        return [
-            DOperator(
-                kind="type2",
-                family=family,
-                label="hahn-D1",
-                eps=lambda n: n * (N - n) * (n + al - N) / denom(n),
-                sigma=lambda n: sig(n),
-                closed_form=d1,
-            ),
-            DOperator(
-                kind="type2",
-                family=family,
-                label="hahn-D2",
-                eps=lambda n: n * (n + al - N) * (n + al + c - 1) / denom(n),
-                sigma=lambda n: -sig(n),
-                closed_form=d2,
-            ),
-            DOperator(
-                kind="type2",
-                family=family,
-                label="hahn-D3",
-                eps=lambda n: -n * (N - n) * (n + c - 1) / denom(n),
-                sigma=lambda n: -sig(n),
-                closed_form=d3,
-            ),
-            DOperator(
-                kind="type2",
-                family=family,
-                label="hahn-D4",
-                eps=lambda n: -n * (n + c - 1) * (n + al + c - 1) / denom(n),
-                sigma=lambda n: sig(n),
-                closed_form=d4,
-            ),
-        ]
-    if isinstance(family, Laguerre):
-        return [
-            DOperator(
-                kind="type1",
-                family=family,
-                label="laguerre-D1",
-                eps=lambda n: Fraction(-1),
-                closed_form=DifferentialOperator.ddx(),
-            )
-        ]
-    if isinstance(family, Jacobi):
-        al, be = family.alpha, family.beta
-        half = (al + be + 1) / 2
-
-        def eps1(n: int) -> Fraction:
-            d = n + al + be
-            if d == 0:
-                raise DegeneracyError(f"Jacobi lowering sequence degenerate: n+alpha+beta = 0 at n={n}")
-            return (n + al) / d
-
-        def eps2(n: int) -> Fraction:
-            d = n + al + be
-            if d == 0:
-                raise DegeneracyError(f"Jacobi lowering sequence degenerate: n+alpha+beta = 0 at n={n}")
-            return -(n + be) / d
-
-        sig = family.sigma
-        d1 = DifferentialOperator((Polynomial((-half,)), Polynomial((1, -1))))
-        d2 = DifferentialOperator((Polynomial((half,)), Polynomial((1, 1))))
-        return [
-            DOperator(
-                kind="type2",
-                family=family,
-                label="jacobi-D1",
-                eps=eps1,
-                sigma=lambda n: sig(n),
-                closed_form=d1,
-            ),
-            DOperator(
-                kind="type2",
-                family=family,
-                label="jacobi-D2",
-                eps=eps2,
-                sigma=lambda n: -sig(n),
-                closed_form=d2,
-            ),
-        ]
-    raise ValueError(f"no lowering-operator catalog for {family!r}")
+    rows = _CATALOG.get(type(family))
+    if rows is None:
+        raise ValueError(f"no lowering-operator catalog for {family!r}")
+    return [
+        DOperator(
+            kind="type1" if row.sign is None else "type2",
+            family=family,
+            label=row.label,
+            eps=partial(row.eps, family),
+            closed_form=row.closed_form(family),
+            sigma=None if row.sign is None else partial(_signed_sigma, row.sign, family),
+        )
+        for row in rows
+    ]

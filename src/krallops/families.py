@@ -17,13 +17,13 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable
 
 from .errors import DegeneracyError, check_at_least
 from .opalg import DifferenceOperator, DifferentialOperator, Operator
 from .polyops import (
     Polynomial,
     RatLike,
+    _expand_graded,
     _running,
     as_fraction,
     fraction_to_str,
@@ -97,29 +97,6 @@ def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
     return _expand_graded(
         poly, fam.polynomial, DegeneracyError("family basis expansion failed to terminate")
     )
-
-
-def _expand_graded(
-    poly: Polynomial, basis: Callable[[int], Polynomial], failure: Exception
-) -> list[Fraction]:
-    """Exact coordinates of poly in a basis whose m-th member basis(m) has
-    degree m, peeled from the top degree down; raises ``failure`` when a
-    residual is left.  A zero coordinate does not build its basis member."""
-    if poly.is_zero():
-        return []
-    out = [Fraction(0)] * (poly.degree + 1)
-    residual = poly
-    for m in range(poly.degree, -1, -1):
-        c = residual.coeff(m)
-        if c == 0:
-            continue
-        bm = basis(m)
-        d = c / bm.lead
-        out[m] = d
-        residual = residual - bm * d
-    if not residual.is_zero():
-        raise failure
-    return out
 
 
 def eigen_solve_poly(fam: Family, n: int) -> Polynomial:

@@ -22,7 +22,7 @@ moment functional each one is orthogonal against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -39,7 +39,6 @@ from .families import (
     Krawtchouk,
     Laguerre,
     Meixner,
-    _expand_graded,
     binomial_rising_terms,
 )
 from .opalg import (
@@ -51,6 +50,7 @@ from .opalg import (
 from .polyops import (
     Polynomial,
     RatLike,
+    _expand_graded,
     antidifference,
     as_fraction,
     fraction_to_str,
@@ -60,42 +60,66 @@ from .polyops import (
 
 @dataclass
 class KrallConstruction:
-    """A constructed eigen-sequence with (optionally) its operator."""
+    """A constructed eigen-sequence and, unless orthogonality-only, its operator.
+
+    Everything else follows from these fields: gamma_n = P2(theta_{n-1})
+    (or ``gamma_fn``, orthogonality-only kind), beta_n = eps_n gamma_{n+1} /
+    gamma_n, and lambda_n from P1, with ``sign`` the frame of a second-kind
+    construction (-1 after ``negated_frame``)."""
 
     family: Family
     kind: str  # "type1", "type2", or "orthogonality-only"
     label: str
     nmax: int
-    gamma_fn: Callable[[int], Fraction]
-    eps_fn: Callable[[int], Fraction]
+    dop: DOperator
     p1: Optional[Polynomial] = None
     p2: Optional[Polynomial] = None
     operator: Optional[Operator] = None
-    eigval_fn: Optional[Callable[[int], Fraction]] = None
-    dop: Optional[DOperator] = None
-    seed_degree: Optional[int] = None
-    # q_n by n, built once: a frame that shares gamma_fn and eps_fn shares it.
-    q_cache: dict[int, Polynomial] = field(default_factory=dict, compare=False, repr=False)
-    # gamma_1..gamma_{nmax+1} as the nonzero check computed them; shared likewise.
+    sign: int = 1
+    gamma_fn: Optional[Callable[[int], Fraction]] = None
+    # gamma_1..gamma_{nmax+1}, checked nonzero once; shared by replaced copies.
     gammas: list[Fraction] = field(default_factory=list, compare=False, repr=False)
+    # q_n by n, built once; shared likewise.
+    q_cache: dict[int, Polynomial] = field(default_factory=dict, compare=False, repr=False)
 
-    def gamma(self, n: int) -> Fraction:
-        check_at_least("n", n, 1)
-        return _gamma_at(self.gammas, self.gamma_fn, n)
+    def __post_init__(self):
+        for n in range(len(self.gammas) + 1, self.nmax + 2):
+            self.gammas.append(self._nonzero(n, self._gamma(n)))
 
-    def beta(self, n: int) -> Fraction:
-        g = self.gamma(n)
+    def _gamma(self, n: int) -> Fraction:
+        if self.gamma_fn is not None:
+            return self.gamma_fn(n)
+        return self.p2(self.family.eigenvalue(n - 1))
+
+    def _nonzero(self, n: int, g: Fraction) -> Fraction:
         if g == 0:
             raise HypothesisError(
                 f"{self.label}: gamma_{n} = 0, construction hypothesis fails", index=n
             )
-        return self.eps_fn(n) * self.gamma(n + 1) / g
+        return g
+
+    @property
+    def seed_degree(self) -> Optional[int]:
+        return None if self.p2 is None else self.p2.degree
+
+    def gamma(self, n: int) -> Fraction:
+        check_at_least("n", n, 1)
+        return self.gammas[n - 1] if n <= len(self.gammas) else self._gamma(n)
+
+    def beta(self, n: int) -> Fraction:
+        g = self._nonzero(n, self.gamma(n))
+        return self.dop.eps(n) * self.gamma(n + 1) / g
 
     def eigval(self, n: int) -> Fraction:
         check_at_least("n", n, 0)
-        if self.eigval_fn is None:
+        if self.p1 is None:
             raise ConstructionError(f"{self.label} carries no operator eigenvalues")
-        return self.eigval_fn(n)
+        theta = self.family.eigenvalue
+        if self.kind == "type1":
+            return self.p1(theta(n))
+        if n == 0:  # p2(theta_0) = gamma_1
+            return (self.p1(theta(0)) - self.sign * self.dop.sigma(1) * self.gamma(1)) / 2
+        return (self.sign * self.dop.sigma(n) * self.gamma(n) + self.p1(theta(n - 1))) / 2
 
     def q(self, n: int) -> Polynomial:
         qn = self.q_cache.get(n)
@@ -110,22 +134,16 @@ class KrallConstruction:
         return [self.q(n) for n in range(nmax + 1)]
 
 
-def _check_gamma_nonzero(label: str, gamma_fn, nmax: int) -> list[Fraction]:
-    """gamma_1..gamma_{nmax+1}, each computed once; raises at the first zero."""
-    gammas = []
-    for n in range(1, nmax + 2):
-        g = gamma_fn(n)
-        if g == 0:
-            raise HypothesisError(
-                f"{label}: gamma_{n} = 0, construction hypothesis fails", index=n
-            )
-        gammas.append(g)
-    return gammas
-
-
-def _gamma_at(gammas: list[Fraction], gamma_fn, n: int) -> Fraction:
-    """gamma_n (n >= 1) from the values the nonzero check kept, else from gamma_fn."""
-    return gammas[n - 1] if n <= len(gammas) else gamma_fn(n)
+def _assemble(
+    family: Family, kind: str, dop: DOperator, p1: Polynomial, p2: Polynomial, nmax: int, label: str
+) -> KrallConstruction:
+    """D_q = P1(D_p) + Dop P2(D_p), with P1 halved for the second kind."""
+    dp = family.second_order_op()
+    lead = poly_of_op(p1, dp)
+    if kind == "type2":
+        lead = lead * Fraction(1, 2)
+    operator = lead + dop.closed_form.compose(poly_of_op(p2, dp))
+    return KrallConstruction(family, kind, label, nmax, dop, p1, p2, operator)
 
 
 def construct_type1(
@@ -157,29 +175,7 @@ def construct_type1(
         p1 = antidifference(p2, step)
     elif p1.shift_arg(step) - p1 != p2:
         raise ConstructionError("supplied companion does not difference to the seed")
-
-    def gamma_fn(n: int) -> Fraction:
-        return p2(theta(n - 1))
-
-    gammas = _check_gamma_nonzero(label, gamma_fn, nmax)
-
-    dp = family.second_order_op()
-    operator = poly_of_op(p1, dp) + dop.closed_form.compose(poly_of_op(p2, dp))
-    return KrallConstruction(
-        family=family,
-        kind="type1",
-        label=label,
-        nmax=nmax,
-        gamma_fn=gamma_fn,
-        eps_fn=dop.eps,
-        p1=p1,
-        p2=p2,
-        operator=operator,
-        eigval_fn=lambda n: p1(theta(n)),
-        dop=dop,
-        seed_degree=p2.degree,
-        gammas=gammas,
-    )
+    return _assemble(family, "type1", dop, p1, p2, nmax, label)
 
 
 def type2_companion(family: Family, weights: Sequence[Fraction]) -> Polynomial:
@@ -242,58 +238,14 @@ def construct_type2(
     for j, wj in enumerate(w):
         p2 = p2 + family.r_basis(j) * wj
     p1 = type2_companion(family, w) * sign
-
-    theta = family.eigenvalue
-
-    def gamma_fn(n: int) -> Fraction:
-        return p2(theta(n - 1))
-
-    gammas = _check_gamma_nonzero(label, gamma_fn, nmax)
-
-    def eigval_fn(n: int) -> Fraction:
-        if n == 0:  # p2(theta_0) = gamma_1
-            return (p1(theta(0)) - dop.sigma(1) * _gamma_at(gammas, gamma_fn, 1)) / 2
-        return (dop.sigma(n) * _gamma_at(gammas, gamma_fn, n) + p1(theta(n - 1))) / 2
-
-    dp = family.second_order_op()
-    operator = poly_of_op(p1, dp) * Fraction(1, 2) + dop.closed_form.compose(
-        poly_of_op(p2, dp)
-    )
-    return KrallConstruction(
-        family=family,
-        kind="type2",
-        label=label,
-        nmax=nmax,
-        gamma_fn=gamma_fn,
-        eps_fn=dop.eps,
-        p1=p1,
-        p2=p2,
-        operator=operator,
-        eigval_fn=eigval_fn,
-        dop=dop,
-        seed_degree=k,
-        gammas=gammas,
-    )
+    return _assemble(family, "type2", dop, p1, p2, nmax, label)
 
 
 def negated_frame(kc: KrallConstruction) -> KrallConstruction:
     """Flip (P1, lambda, D_q) -> (-P1, -lambda, -D_q); same q_n, same eigen-identity."""
-    return KrallConstruction(
-        family=kc.family,
-        kind=kc.kind,
-        label=kc.label,
-        nmax=kc.nmax,
-        gamma_fn=kc.gamma_fn,
-        eps_fn=kc.eps_fn,
-        p1=-kc.p1 if kc.p1 is not None else None,
-        p2=kc.p2,
-        operator=-kc.operator if kc.operator is not None else None,
-        eigval_fn=(lambda n, f=kc.eigval_fn: -f(n)) if kc.eigval_fn else None,
-        dop=kc.dop,
-        seed_degree=kc.seed_degree,
-        q_cache=kc.q_cache,
-        gammas=kc.gammas,
-    )
+    if kc.operator is None:
+        return replace(kc)
+    return replace(kc, p1=-kc.p1, operator=-kc.operator, sign=-kc.sign)
 
 
 def generalized_operator(
@@ -523,13 +475,7 @@ class _PointMassRecipe(NamedTuple):
                 raise ConstructionError(f"{kind} mass reparameterization mismatch")
         else:
             kc = KrallConstruction(
-                family=fam,
-                kind="orthogonality-only",
-                label=label,
-                nmax=nmax,
-                gamma_fn=gamma_fn,
-                eps_fn=dop.eps,
-                gammas=_check_gamma_nonzero(kind, gamma_fn, nmax),
+                fam, "orthogonality-only", label, nmax, dop, gamma_fn=gamma_fn
             )
             notes.append(
                 f"{self.degree_param} is not a positive integer: no finite-order"

@@ -42,6 +42,7 @@ from .families import (
 from .polyops import (
     Polynomial,
     RatLike,
+    _expand_graded,
     as_fraction,
     binom_poly,
     fraction_to_str,
@@ -440,20 +441,14 @@ def occ_weights(p2: Polynomial) -> tuple[int, list[Fraction]]:
     else:
         g = p2(Polynomial((0, -1)))
         start = 0
-    weights = [Fraction(0)] * (k + 1)
-    if start == 0:
-        weights[0] = Fraction(-1)
-    # Triangular: C(x+j, j) = (x+1)...(x+j)/j! has degree j, lead 1/j!.
-    residual = g
-    for j in range(k, 0, -1):
-        c = residual.coeff(j) * factorial(j)
-        weights[j] = c
-        if c:
-            basis = binom_poly(j).shift_arg(j)
-            residual = residual - basis * c
-    if not residual.is_zero():
-        raise DegeneracyError("binomial-basis expansion left a nonzero remainder")
-    return start, weights
+    # Triangular: C(x+j, j) = (x+1)...(x+j)/j! has degree j; the j = 0 member
+    # is 1, so a nonzero coordinate there is the remainder.
+    failure = DegeneracyError("binomial-basis expansion left a nonzero remainder")
+    coords = _expand_graded(g, lambda j: binom_poly(j).shift_arg(j), failure)
+    if coords and coords[0]:
+        raise failure
+    weights = [Fraction(-1) if start == 0 else Fraction(0)] + coords[1:]
+    return start, weights + [Fraction(0)] * (k + 1 - len(weights))
 
 
 def occ_q_poly(alpha: RatLike, p2: Polynomial) -> Polynomial:

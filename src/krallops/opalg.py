@@ -28,6 +28,9 @@ from .polyops import (
 )
 
 
+_Coeff = Union[Polynomial, RatLike]
+
+
 def _as_coeff_poly(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
@@ -113,6 +116,8 @@ class _KeyedOperator:
         return self._of([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -216,8 +221,9 @@ class DifferentialOperator(_KeyedOperator):
     __slots__ = ()
     _kind, _key, _min_key = "differential", "order", 0
 
-    def __init__(self, coeffs: Iterable[Union[Polynomial, RatLike]] = ()):
-        super().__init__(enumerate(coeffs))
+    def __init__(self, coeffs: Union[Mapping[int, _Coeff], Iterable[_Coeff]] = ()):
+        """Coefficients f_0, f_1, ... in order, or a mapping from order to coefficient."""
+        super().__init__(coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs))
 
     @classmethod
     def ddx(cls, order: int = 1, coeff: Union[Polynomial, RatLike] = 1) -> "DifferentialOperator":

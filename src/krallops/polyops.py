@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import check_at_least
 
@@ -421,23 +421,43 @@ def binom_scalar(top: RatLike, count: int) -> Fraction:
     return pochhammer(t - count + 1, count) / factorial(count)
 
 
+def _expand_graded(
+    poly: Polynomial, basis: Callable[[int], Polynomial], failure: Exception
+) -> list[Fraction]:
+    """Exact coordinates of poly in a basis whose m-th member basis(m) has
+    degree m, peeled from the top degree down; raises ``failure`` when a
+    residual is left.  A zero coordinate does not build its basis member."""
+    if poly.is_zero():
+        return []
+    out = [Fraction(0)] * (poly.degree + 1)
+    residual = poly
+    for m in range(poly.degree, -1, -1):
+        c = residual.coeff(m)
+        if c == 0:
+            continue
+        bm = basis(m)
+        d = c / bm.lead
+        out[m] = d
+        residual = residual - bm * d
+    if not residual.is_zero():
+        raise failure
+    return out
+
+
 def antidifference(target: Polynomial, step: RatLike) -> Polynomial:
     """Solve P(x + step) - P(x) = target for the P with zero constant term.
 
-    The solution is unique once the constant term is pinned: matching
-    leading coefficients determines the top coefficient of P, and the
-    remainder recurses downward.  Raises ValueError for step = 0.
+    The solution is unique once the constant term is pinned: target has
+    one coordinate on each (x + step)^{m+1} - x^{m+1}, of degree m, and that
+    coordinate is P's coefficient of x^{m+1}.  Raises ValueError for step = 0.
     """
     d = as_fraction(step)
     if d == 0:
         raise ValueError("antidifference requires a nonzero step")
-    residual = target
-    out = Polynomial.zero()
-    while not residual.is_zero():
-        m = residual.degree
-        k = m + 1
-        c = residual.lead / (k * d)
-        term = Polynomial.monomial(k, c)
-        out = out + term
-        residual = residual - (term.shift_arg(d) - term)
-    return out
+
+    def basis(m: int) -> Polynomial:
+        power = Polynomial.monomial(m + 1)
+        return power.shift_arg(d) - power
+
+    coords = _expand_graded(target, basis, ArithmeticError("antidifference left a remainder"))
+    return Polynomial((0, *coords))

@@ -314,6 +314,36 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of the --json verify-dops report at --nmax 8: pins each family's
+# catalog labels, their order and their failure lists.
+VERIFY_DOPS_DIGESTS = {
+    "charlier --a 2/3":
+        "c245027c90a51cb69165cc32105e86ddb15e2f649be41a92f7870af7bd79f1d9",
+    "meixner --a=-1/7 --c 9/2":
+        "d5bf81873fa924bab10b1d50b1e0894a2f95e4638080647d8b237c5de1a98f42",
+    "krawtchouk --a=-1/5 --N 3/2":
+        "2a22ba78721886410327dd5d7526f1168e7a6c924abcb0f8ee80ed76d98cf37c",
+    "hahn --alpha 7/3 --c 5/2 --N 1/3":
+        "b3f499ef36bc70729c27be9a2d8f18d2d8d662d0bfd99166ec499c217bbe3761",
+    "laguerre --alpha 1/3":
+        "5ff4ed2f76c2d86a3e761235fc2c04ef17c3aebbc855585b17dafcb8ed2f68af",
+    "jacobi --alpha 1/2 --beta 2":
+        "f0e5e078cb350a80512cc7803ef465bee0309cbb222e53cf56b596263a0a431f",
+}
+
+
+def test_verify_dops_report_digests(capsys):
+    got = {}
+    for family_args in VERIFY_DOPS_DIGESTS:
+        family, *params = shlex.split(family_args)
+        argv = ["--json", "verify-dops", "--family", family, *params, "--nmax", "8"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0, argv
+        text = json.dumps(doc["report"], sort_keys=True)
+        got[family_args] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == VERIFY_DOPS_DIGESTS
+
+
 def test_golden_report_digests(capsys):
     got = {}
     for sub, theorem_args in GOLDEN_DIGESTS:

@@ -363,7 +363,7 @@ def test_each_gamma_is_computed_once(monkeypatch, kind, params, k):
     construction_to_json(kc)
     theta = kc.family.eigenvalue
     assert [evaluated[kc.p2, theta(n - 1)] for n in range(1, nmax + 2)] == [1] * (nmax + 1)
-    # Past nmax + 1 the kept values end and gamma_fn takes over.
+    # Past nmax + 1 the kept values end and gamma_n is read from P2 again.
     assert kc.gamma(nmax + 2) == kc.p2(theta(nmax + 1))
 
 
@@ -489,3 +489,27 @@ def test_construction_json_shape():
     assert doc["beta"][0] == "3/1"
     assert doc["eigenvalues"][0] == "-1/6"
     assert operator_from_json(doc["operator"]) == nc.construction.operator
+
+
+# One parameter set per operator-carrying case: the six difference kinds and
+# the Laguerre and Jacobi point masses at an integer degree.
+OPERATOR_SETS = [
+    ("charlier", {"a": F(2, 3)}, 2),
+    ("meixner1", {"a": F(-1, 7), "c": F(9, 2)}, 2),
+    ("meixner2", {"a": F(-2, 7), "c": F(11, 2)}, 2),
+    ("krawtchouk", {"a": F(-1, 5), "N": F(3, 2)}, 2),
+    ("hahn1", dict(zip(("alpha", "c", "N"), HAHN_TRIPLE)), 1),
+    ("hahn2", dict(zip(("alpha", "c", "N"), HAHN_TRIPLE)), 2),
+    ("laguerre", {"alpha": 2, "mass": 1}, 0),
+    ("jacobi", {"alpha": F(1, 2), "beta": 2, "mass": 1}, 0),
+]
+
+
+@pytest.mark.parametrize("kind, params, k", OPERATOR_SETS)
+def test_constructions_compare_by_value(kind, params, k):
+    nc = named(kind, params, k=k, nmax=5)
+    assert nc == named(kind, params, k=k, nmax=5)
+    kc = nc.construction
+    assert negated_frame(negated_frame(kc)) == kc
+    assert negated_frame(kc) != kc
+    assert dataclasses.replace(kc, nmax=4) != kc

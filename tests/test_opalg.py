@@ -177,9 +177,10 @@ def _differential_doc(*orders):
         (lambda: DifferenceOperator.shift(1.5), "shift must be an integer; got 1.5"),
         (lambda: operator_from_json(_differential_doc(-1, 2)), "order must be >= 0; got -1"),
         (lambda: operator_from_json(_differential_doc(-1)), "order must be >= 0; got -1"),
+        (lambda: DifferentialOperator({-1: Polynomial((0, 1))}), "order must be >= 0; got -1"),
     ],
     ids=["ddx-negative", "ddx-float", "fraction-shift", "str-shift", "float-shift",
-         "json-negative-order", "json-lone-negative-order"],
+         "json-negative-order", "json-lone-negative-order", "mapping-negative-order"],
 )
 def test_operator_keys_are_checked(build, message):
     # Each was silently misread (or raised a bare IndexError) before keys were checked.
@@ -193,3 +194,20 @@ def test_compose_rejects_the_other_kind():
         message = f"^cannot combine {type(right).__name__} with {type(left).__name__}$"
         with pytest.raises(TypeError, match=message):
             left.compose(right)
+
+
+def test_differential_mapping_reads_order_to_coefficient():
+    x = Polynomial((0, 1))
+    assert DifferentialOperator({2: x}) == DifferentialOperator.ddx(2, x)
+    assert DifferentialOperator({1: 3, 0: x}) == DifferentialOperator([x, 3])
+
+
+def test_subtraction_of_the_other_kind_or_a_number_names_minus():
+    shift, ddx = DifferenceOperator.shift(1), DifferentialOperator.ddx(1)
+    for left, right in ((shift, ddx), (ddx, shift), (shift, 2), (ddx, Fraction(1, 2))):
+        message = (
+            f"^unsupported operand type\\(s\\) for -: '{type(left).__name__}'"
+            f" and '{type(right).__name__}'$"
+        )
+        with pytest.raises(TypeError, match=message):
+            left - right
