@@ -43,6 +43,7 @@ from .families import (
 )
 from .opalg import (
     DifferenceOperator,
+    EigenGrid,
     Operator,
     operator_to_json,
     poly_of_op,
@@ -56,6 +57,15 @@ from .polyops import (
     fraction_to_str,
     pochhammer,
 )
+
+
+class _Memo(NamedTuple):
+    """gamma_1..gamma_{nmax+1}, each checked nonzero once, and q_n by n, built
+    once; ``key`` holds the (family, p2, dop, gamma_fn) they were read from."""
+
+    key: tuple
+    gammas: list[Fraction]
+    q_cache: dict[int, Polynomial]
 
 
 @dataclass
@@ -77,14 +87,17 @@ class KrallConstruction:
     operator: Optional[Operator] = None
     sign: int = 1
     gamma_fn: Optional[Callable[[int], Fraction]] = None
-    # gamma_1..gamma_{nmax+1}, checked nonzero once; shared by replaced copies.
-    gammas: list[Fraction] = field(default_factory=list, compare=False, repr=False)
-    # q_n by n, built once; shared likewise.
-    q_cache: dict[int, Polynomial] = field(default_factory=dict, compare=False, repr=False)
+    # Values computed from family, p2, dop and gamma_fn; a replaced copy shares
+    # them only while it keeps those four objects (``negated_frame`` does).
+    _memo: Optional[_Memo] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for n in range(len(self.gammas) + 1, self.nmax + 2):
-            self.gammas.append(self._nonzero(n, self._gamma(n)))
+        key = (self.family, self.p2, self.dop, self.gamma_fn)
+        if self._memo is None or any(a is not b for a, b in zip(self._memo.key, key)):
+            self._memo = _Memo(key, [], {})
+        gammas = self._memo.gammas
+        for n in range(len(gammas) + 1, self.nmax + 2):
+            gammas.append(self._nonzero(n, self._gamma(n)))
 
     def _gamma(self, n: int) -> Fraction:
         if self.gamma_fn is not None:
@@ -104,7 +117,8 @@ class KrallConstruction:
 
     def gamma(self, n: int) -> Fraction:
         check_at_least("n", n, 1)
-        return self.gammas[n - 1] if n <= len(self.gammas) else self._gamma(n)
+        gammas = self._memo.gammas
+        return gammas[n - 1] if n <= len(gammas) else self._gamma(n)
 
     def beta(self, n: int) -> Fraction:
         g = self._nonzero(n, self.gamma(n))
@@ -122,12 +136,13 @@ class KrallConstruction:
         return (self.sign * self.dop.sigma(n) * self.gamma(n) + self.p1(theta(n - 1))) / 2
 
     def q(self, n: int) -> Polynomial:
-        qn = self.q_cache.get(n)
+        q_cache = self._memo.q_cache
+        qn = q_cache.get(n)
         if qn is None:
             qn = self.family.polynomial(n)
             if n:
                 qn = qn + self.family.polynomial(n - 1) * self.beta(n)
-            self.q_cache[n] = qn
+            q_cache[n] = qn
         return qn
 
     def q_sequence(self, nmax: int) -> list[Polynomial]:
@@ -301,19 +316,26 @@ def verify_eigen(kc: KrallConstruction, nmax: Optional[int] = None) -> EigenRepo
         raise ConstructionError(f"{kc.label} carries no operator to verify")
     nmax = kc.nmax if nmax is None else nmax
     check_at_least("nmax", nmax, 0)
+    op = kc.operator
+    # A difference operator's identity is decided on integer points; only an
+    # n that fails there builds D_q q_n as a polynomial, for its residual.
+    grid = EigenGrid(op) if isinstance(op, DifferenceOperator) else None
     checks = []
     for n in range(nmax + 1):
         qn = kc.q(n)
         lam = kc.eigval(n)
-        got, want = kc.operator.apply(qn), qn * lam
+        if grid is not None and grid.holds(qn, lam):
+            checks.append(EigenCheck(n=n, ok=True, expected=lam))
+            continue
+        got, want = op.apply(qn), qn * lam
         ok = got == want
         checks.append(EigenCheck(n=n, ok=ok, expected=lam, residual=None if ok else got - want))
     k = kc.seed_degree
     expected_order = 2 * k + 2
-    order = kc.operator.order()
+    order = op.order()
     order_ok = order == expected_order
-    if isinstance(kc.operator, DifferenceOperator):
-        genre = kc.operator.genre()
+    if grid is not None:
+        genre = op.genre()
         genre_ok = genre == (-k - 1, k + 1)
     else:
         genre = None

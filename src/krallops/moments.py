@@ -441,12 +441,11 @@ def occ_weights(p2: Polynomial) -> tuple[int, list[Fraction]]:
     else:
         g = p2(Polynomial((0, -1)))
         start = 0
-    # Triangular: C(x+j, j) = (x+1)...(x+j)/j! has degree j; the j = 0 member
-    # is 1, so a nonzero coordinate there is the remainder.
+    # Triangular: C(x+j, j) = (x+1)...(x+j)/j! has degree j.  Its j = 0 member
+    # is 1 and the others vanish at x = -1, as g does in both branches, so the
+    # j = 0 coordinate is g(-1) = 0 and the expansion leaves no remainder.
     failure = DegeneracyError("binomial-basis expansion left a nonzero remainder")
     coords = _expand_graded(g, lambda j: binom_poly(j).shift_arg(j), failure)
-    if coords and coords[0]:
-        raise failure
     weights = [Fraction(-1) if start == 0 else Fraction(0)] + coords[1:]
     return start, weights + [Fraction(0)] * (k + 1 - len(weights))
 

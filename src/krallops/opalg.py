@@ -24,6 +24,7 @@ from .polyops import (
     _convolve,
     _from_ints,
     _taylor_shift,
+    _values_at,
     as_fraction,
 )
 
@@ -213,6 +214,47 @@ class DifferenceOperator(_KeyedOperator):
         if not self._terms:
             return "0"
         return " + ".join(f"({f})*S[{s}]" for s, f in self._terms.items())
+
+
+class EigenGrid:
+    """Decides op(q) == lam * q for one difference operator on integer points.
+
+    With d = deg q, e the largest coefficient degree and K the largest
+    |shift|, the residual op(q) - lam q has degree at most d + e, so it is
+    the zero polynomial exactly when it vanishes at x = 0..d+e.  The
+    coefficients' integer numerators F_l over one denominator D are
+    evaluated on 0, 1, 2, ... once, the range doubling whenever a check
+    needs more.  Each check evaluates the numerators Q of q on -K..d+e+K,
+    where Sh_l is an index offset, and compares b * sum_l F_l(x) Q(x+l)
+    with a * D * Q(x) for lam = a/b, in integers."""
+
+    __slots__ = ("_shifts", "_fs", "_den", "_extra", "_reach", "_table")
+
+    def __init__(self, op: DifferenceOperator):
+        self._fs, self._den = _common_ints(op._terms.values())
+        self._shifts = list(op._terms)
+        self._extra = max((len(f) - 1 for f in self._fs), default=0)
+        self._reach = max((abs(s) for s in self._shifts), default=0)
+        self._table: list[list[int]] = [[] for _ in self._fs]
+
+    def holds(self, q: Polynomial, lam: RatLike) -> bool:
+        nums, _ = q._ints()
+        if not nums:
+            return True
+        points = len(nums) + self._extra  # x = 0..d+e
+        if self._table and len(self._table[0]) < points:
+            size = max(points, 2 * len(self._table[0]))
+            for f, tab in zip(self._fs, self._table):
+                tab.extend(_values_at(f, range(len(tab), size)))
+        reach = self._reach
+        values = _values_at(nums, range(-reach, points + reach))
+        lhs = [0] * points
+        for shift, tab in zip(self._shifts, self._table):
+            start = reach + shift
+            lhs = [s + f * v for s, f, v in zip(lhs, tab, values[start : start + points])]
+        lam = as_fraction(lam)
+        b, a_den = lam.denominator, lam.numerator * self._den
+        return [b * s for s in lhs] == [a_den * v for v in values[reach : reach + points]]
 
 
 class DifferentialOperator(_KeyedOperator):

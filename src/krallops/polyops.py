@@ -337,6 +337,15 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _values_at(nums: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """The integer polynomial ``nums`` (nonempty) at every integer in ``xs``,
+    by Horner's rule run over all the points at once."""
+    acc = [nums[-1]] * len(xs)
+    for c in reversed(nums[:-1]):
+        acc = [a * x + c for a, x in zip(acc, xs)]
+    return acc
+
+
 def _taylor_shift(nums: list[int], u: int) -> None:
     """In place: replace the coefficients of p(x) by those of p(x + u).
 

@@ -9,6 +9,8 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krallops.dops import catalog
 from krallops.errors import ConstructionError, DegeneracyError, HypothesisError
@@ -34,7 +36,7 @@ from krallops.krall import (
     verify_eigen,
 )
 from krallops.moments import gram_check, orthoseq
-from krallops.opalg import DifferenceOperator, operator_from_json
+from krallops.opalg import DifferenceOperator, EigenGrid, operator_from_json
 from krallops.polyops import Polynomial, pochhammer
 
 F = Fraction
@@ -378,6 +380,73 @@ def test_failed_eigen_check_keeps_its_residual():
     assert bad.checks[0].residual is None
     for c in bad.checks[1:]:
         assert c.residual == delta.apply(kc.q(c.n)) and not c.residual.is_zero()
+
+
+DIFFERENCE_CASES = [
+    ("charlier", {"a": F(3, 7)}),
+    ("meixner1", {"a": 2, "c": F(1, 2)}),
+    ("meixner2", {"a": F(2, 3), "c": F(1, 2)}),
+    ("krawtchouk", {"a": 2, "N": F(15, 2)}),
+    ("hahn1", dict(zip(("alpha", "c", "N"), HAHN_TRIPLE))),
+    ("hahn2", dict(zip(("alpha", "c", "N"), HAHN_TRIPLE))),
+]
+
+
+@pytest.mark.parametrize("kind, params", DIFFERENCE_CASES, ids=[c[0] for c in DIFFERENCE_CASES])
+@pytest.mark.parametrize("k", [1, 3])
+def test_grid_decides_named_eigenpairs_like_the_polynomial_path(kind, params, k):
+    nmax = 8
+    kc = named(kind, params, k=k, nmax=nmax).construction
+    grid = EigenGrid(kc.operator)
+    for n in range(nmax + 1):
+        q, lam = kc.q(n), kc.eigval(n)
+        assert grid.holds(q, lam) and kc.operator.apply(q) == q * lam
+        for bad_q, bad_lam in [
+            (q, lam + F(1, 11)),
+            (q + kc.family.polynomial(max(n - 1, 0)) * F(2, 9), lam),
+            (q * F(-3, 2) + 1, lam * F(-3, 2)),
+        ]:
+            verdict = kc.operator.apply(bad_q) == bad_q * bad_lam
+            assert grid.holds(bad_q, bad_lam) == verdict
+            assert not verdict or n == 0
+
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+_coeffs = st.lists(_rationals, min_size=1, max_size=4).map(Polynomial)
+_shift_ops = st.dictionaries(st.integers(-4, 4), _coeffs, max_size=3).map(DifferenceOperator)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(DIFFERENCE_CASES), _shift_ops, st.booleans())
+def test_failed_grid_checks_keep_the_polynomial_residual(case, delta, perturb):
+    # Random operators, or the true D_q plus a random perturbation: each check
+    # must agree with D q_n - lambda_n q_n built as a polynomial.
+    kind, params = case
+    kc = named(kind, params, k=2, nmax=6).construction
+    op = kc.operator + delta if perturb else delta
+    if op.is_zero():
+        return
+    report = verify_eigen(dataclasses.replace(kc, operator=op))
+    assert [c.n for c in report.checks] == list(range(7))
+    for c in report.checks:
+        residual = op.apply(kc.q(c.n)) - kc.q(c.n) * kc.eigval(c.n)
+        assert c.ok == residual.is_zero()
+        assert c.residual == (None if c.ok else residual)
+
+
+def test_replaced_copies_share_memos_only_with_the_same_inputs():
+    kc = named("charlier", {"a": F(3, 7)}, k=1, nmax=4).construction
+    theta = kc.family.eigenvalue
+    kc.q(3)
+    doubled = dataclasses.replace(kc, p2=2 * kc.p2)
+    assert doubled.gamma(2) == 2 * kc.p2(theta(1)) == F(-22, 7)
+    assert kc.gamma(2) == F(-11, 7)
+    moved = dataclasses.replace(kc, p2=kc.p2 + 1)
+    fam = kc.family
+    assert moved.q(3) == fam.polynomial(3) + fam.polynomial(2) * moved.beta(3) != kc.q(3)
+    # Copies that keep family, p2, dop and gamma_fn share the built q_n.
+    for twin in (negated_frame(kc), dataclasses.replace(kc, nmax=7, label="x")):
+        assert twin.q(3) is kc.q(3)
 
 
 def test_perturbed_beta_breaks_eigen_identity():

@@ -44,7 +44,7 @@ from krallops.moments import (
     orthoseq,
     pairing,
 )
-from krallops.polyops import Polynomial, pochhammer
+from krallops.polyops import Polynomial, _expand_graded, pochhammer
 
 F = Fraction
 X = Polynomial((0, 1))
@@ -474,6 +474,38 @@ def test_normalized_weights_resum_to_window():
         basis = Polynomial.from_roots([-i for i in range(1, j + 1)]) / factorial(j)
         rebuilt = rebuilt + basis * weights[j]
     assert rebuilt * p2(F(1)) == p2(Polynomial((0, -1)))
+
+
+_window_coeffs = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=2, max_size=6
+)
+
+
+@settings(max_examples=150)
+@given(_window_coeffs, st.booleans())
+def test_binomial_expansion_has_no_constant_coordinate(coeffs, through_one):
+    # P2(1) != 0 expands P2(-x)/P2(1) - 1, P2(1) = 0 expands P2(-x); both
+    # vanish at x = -1, like every C(x+j, j) with j >= 1, so the j = 0
+    # coordinate is 0 and the weights from j = 1 resum to the whole window.
+    p2 = Polynomial(coeffs)
+    if through_one:
+        p2 = p2 * Polynomial((-1, 1))
+    if p2.degree < 1:
+        return
+    at_one = p2(F(1))
+    assert at_one == 0 or not through_one
+    g = p2(Polynomial((0, -1)))
+    if at_one:
+        g = g / at_one - Polynomial.one()
+    def binomial(j: int) -> Polynomial:  # C(x+j, j)
+        return Polynomial.from_roots([-i for i in range(1, j + 1)]) / factorial(j)
+
+    coords = _expand_graded(g, binomial, AssertionError("remainder"))
+    assert not coords or coords[0] == 0
+    start, weights = occ_weights(p2)
+    assert start == (1 if at_one else 0)
+    rebuilt = sum((binomial(j) * weights[j] for j in range(1, len(weights))), Polynomial())
+    assert rebuilt == g
 
 
 # -- determinant identity ----------------------------------------------------------------

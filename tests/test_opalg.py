@@ -13,6 +13,7 @@ from krallops.errors import OperatorError
 from krallops.opalg import (
     DifferenceOperator,
     DifferentialOperator,
+    EigenGrid,
     identity_like,
     op_linear,
     operator_from_json,
@@ -211,3 +212,67 @@ def test_subtraction_of_the_other_kind_or_a_number_names_minus():
         )
         with pytest.raises(TypeError, match=message):
             left - right
+
+
+# -- eigen identities on an integer grid ---------------------------------------------
+
+
+def _grid_agrees(op: DifferenceOperator, q: Polynomial, lam: Fraction) -> bool:
+    """The grid's verdict, asserted equal to the polynomial one."""
+    verdict = EigenGrid(op).holds(q, lam)
+    assert verdict == (op.apply(q) == q * lam)
+    return verdict
+
+
+def _annihilating(q: Polynomial, g: Polynomial, shift: int) -> DifferenceOperator:
+    """g(x) (q(x+shift) Sh_0 - q(x) Sh_shift), which sends q to 0."""
+    if shift == 0:
+        return DifferenceOperator()
+    return DifferenceOperator({0: g * q.shift_arg(shift), shift: -(g * q)})
+
+
+@settings(max_examples=300)
+@given(diff_ops(max_shift=4), test_polys, rationals)
+def test_grid_verdict_matches_apply_on_random_input(op, q, lam):
+    _grid_agrees(op, q, lam)
+
+
+@settings(max_examples=200)
+@given(
+    diff_ops(max_shift=3),
+    st.lists(rationals, min_size=1, max_size=7).map(Polynomial).filter(lambda p: not p.is_zero()),
+    rationals,
+    small_polys,
+    st.integers(-3, 3),
+    rationals.filter(bool),
+)
+def test_grid_accepts_true_eigenpairs_and_rejects_perturbed_ones(op, q, lam, g, shift, delta):
+    # lam Sh_0 plus an operator that kills q has q as an eigenfunction.
+    true_op = _annihilating(q, g, shift) + DifferenceOperator({0: lam})
+    assert _grid_agrees(true_op, q, lam)
+    assert not _grid_agrees(true_op, q, lam + delta)
+    _grid_agrees(true_op + op, q, lam)
+    _grid_agrees(true_op, q + Polynomial.monomial(q.degree + 1, delta), lam)
+
+
+@pytest.mark.parametrize("d, e, shift", [(0, 0, 1), (1, 0, -1), (3, 2, 2), (5, 3, -3), (8, 1, 4)])
+def test_grid_needs_every_point(d, e, shift):
+    # For each grid point j in 0..d+e, an operator and q whose residual
+    # prod_{i != j} (x - i) vanishes on every other point of the grid.
+    points = d + e + 1
+    for j in range(points):
+        roots = [i for i in range(points) if i != j]
+        # q(x + shift) has the first d roots and f the remaining e.
+        q = Polynomial.from_roots([r + shift for r in roots[:d]])
+        f = Polynomial.from_roots(roots[d:])
+        lam = Fraction(3, 5)
+        op = DifferenceOperator({shift: f, 0: lam})
+        assert op.apply(q) - q * lam == Polynomial.from_roots(roots)
+        assert not _grid_agrees(op, q, lam)
+
+
+def test_grid_of_the_zero_operator_and_the_zero_polynomial():
+    q = Polynomial((1, 2, 3))
+    assert _grid_agrees(DifferenceOperator(), q, 0)
+    assert not _grid_agrees(DifferenceOperator(), q, 1)
+    assert _grid_agrees(DifferenceOperator.forward_difference(), Polynomial(), 5)
