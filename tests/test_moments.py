@@ -9,7 +9,7 @@ from math import comb, factorial
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krallops import moments
@@ -44,7 +44,7 @@ from krallops.moments import (
     orthoseq,
     pairing,
 )
-from krallops.polyops import Polynomial, _expand_graded, pochhammer
+from krallops.polyops import Polynomial, pochhammer
 
 F = Fraction
 X = Polynomial((0, 1))
@@ -464,18 +464,6 @@ def test_bilinear_form_needs_alpha_off_the_integer_ladder():
             occ_form(bad, p2, X, X)
 
 
-def test_normalized_weights_resum_to_window():
-    p2 = Polynomial((1, 1, 1))
-    start, weights = occ_weights(p2)
-    assert start == 1
-    rebuilt = Polynomial.one()
-    for j in range(1, len(weights)):
-        # C(x+j, j) built from the rising window over j!.
-        basis = Polynomial.from_roots([-i for i in range(1, j + 1)]) / factorial(j)
-        rebuilt = rebuilt + basis * weights[j]
-    assert rebuilt * p2(F(1)) == p2(Polynomial((0, -1)))
-
-
 _window_coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=2, max_size=6
 )
@@ -483,29 +471,25 @@ _window_coeffs = st.lists(
 
 @settings(max_examples=150)
 @given(_window_coeffs, st.booleans())
-def test_binomial_expansion_has_no_constant_coordinate(coeffs, through_one):
-    # P2(1) != 0 expands P2(-x)/P2(1) - 1, P2(1) = 0 expands P2(-x); both
-    # vanish at x = -1, like every C(x+j, j) with j >= 1, so the j = 0
-    # coordinate is 0 and the weights from j = 1 resum to the whole window.
+@example([F(1), F(1), F(1)], False)
+@example([F(-5), F(1)], True)
+def test_normalized_weights_resum_to_window(coeffs, through_one):
+    # Every C(x+j, j) with j >= 1 vanishes at x = -1, so weights from j = 1
+    # resum to the window only when its j = 0 coordinate is 0, in both the
+    # normalized (P2(1) != 0) and the through-one (P2(1) = 0) branch.
     p2 = Polynomial(coeffs)
     if through_one:
         p2 = p2 * Polynomial((-1, 1))
-    if p2.degree < 1:
-        return
-    at_one = p2(F(1))
-    assert at_one == 0 or not through_one
-    g = p2(Polynomial((0, -1)))
-    if at_one:
-        g = g / at_one - Polynomial.one()
-    def binomial(j: int) -> Polynomial:  # C(x+j, j)
-        return Polynomial.from_roots([-i for i in range(1, j + 1)]) / factorial(j)
-
-    coords = _expand_graded(g, binomial, AssertionError("remainder"))
-    assert not coords or coords[0] == 0
+    assume(p2.degree >= 1 and (p2(F(1)) == 0) == through_one)
     start, weights = occ_weights(p2)
-    assert start == (1 if at_one else 0)
-    rebuilt = sum((binomial(j) * weights[j] for j in range(1, len(weights))), Polynomial())
-    assert rebuilt == g
+    assert start == (0 if through_one else 1)
+    rebuilt = Polynomial.zero() if through_one else Polynomial.one()
+    for j in range(1, len(weights)):
+        # C(x+j, j) built from the rising window over j!.
+        basis = Polynomial.from_roots([-i for i in range(1, j + 1)]) / factorial(j)
+        rebuilt = rebuilt + basis * weights[j]
+    window = p2(Polynomial((0, -1)))
+    assert rebuilt == (window if through_one else window / p2(F(1)))
 
 
 # -- determinant identity ----------------------------------------------------------------
