@@ -35,6 +35,10 @@ BIG_N_REPEATS = 3
 BIG_N = [
     {"kind": "charlier", "params": {"a": "3/7"}, "k": 4, "nmax": 300},
     {"kind": "charlier", "params": {"a": "3/7"}, "k": 12, "nmax": 120},
+    # named ignores k for Laguerre and Jacobi: alpha resp. beta is the seed degree.
+    {"kind": "laguerre", "params": {"alpha": "3", "mass": "3/4"}, "k": 3, "nmax": 250},
+    {"kind": "jacobi", "params": {"alpha": "4/3", "beta": "3", "mass": "5/4"}, "k": 3,
+     "nmax": 120},
 ]
 BIG_N_NOTE = ("informational: uncalibrated CPU seconds of verify_eigen outside perfbench; "
               "no perfbench workload covers these cases and no claim rests on them")

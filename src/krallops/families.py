@@ -43,8 +43,8 @@ class Family:
         return _classical_poly(self, n)
 
     def _build_poly(self, n: int) -> Polynomial:
-        """p_n = sum_j t_j(n) prod_{i<j} (x - x_i), by nested multiplication."""
-        return Polynomial.from_newton(self._scalars(n), self._nodes(n))
+        """p_n = sum_j t_j(n) prod_{i<j} (x - x_i) on the family's Newton nodes."""
+        raise NotImplementedError
 
     def _scalars(self, n: int) -> list[Fraction]:
         """The Newton coefficients t_0(n)..t_n(n) of p_n.
@@ -53,10 +53,6 @@ class Family:
         factorials and powers) in O(n) integer products, with one reduction
         to a Fraction per coefficient."""
         raise NotImplementedError
-
-    def _nodes(self, n: int):
-        """The Newton nodes x_0..x_{n-1}: the lattice 0, 1, 2, ... by default."""
-        return range(n)
 
     def eigenvalue(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -127,11 +123,22 @@ def eigen_solve_poly(fam: Family, n: int) -> Polynomial:
 # -- discrete families ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Charlier(Family):
-    a: Fraction
+class _LatticeFamily(Family):
+    """A family whose Newton nodes are the lattice 0, 1, 2, ..."""
 
     kind = "difference"
+
+    def _build_poly(self, n: int) -> Polynomial:
+        return Polynomial.from_newton(self._scalars(n), self._nodes(n))
+
+    def _nodes(self, n: int):
+        """The Newton nodes x_0..x_{n-1} = 0..n-1."""
+        return range(n)
+
+
+@dataclass(frozen=True)
+class Charlier(_LatticeFamily):
+    a: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_fraction(self.a))
@@ -159,11 +166,9 @@ class Charlier(Family):
 
 
 @dataclass(frozen=True)
-class Meixner(Family):
+class Meixner(_LatticeFamily):
     a: Fraction
     c: Fraction
-
-    kind = "difference"
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_fraction(self.a))
@@ -210,11 +215,9 @@ class Meixner(Family):
 
 
 @dataclass(frozen=True)
-class Krawtchouk(Family):
+class Krawtchouk(_LatticeFamily):
     a: Fraction
     N: Fraction
-
-    kind = "difference"
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_fraction(self.a))
@@ -251,12 +254,10 @@ class Krawtchouk(Family):
 
 
 @dataclass(frozen=True)
-class Hahn(Family):
+class Hahn(_LatticeFamily):
     alpha: Fraction
     c: Fraction
     N: Fraction
-
-    kind = "difference"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -327,11 +328,24 @@ class Hahn(Family):
 # -- continuous families ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Laguerre(Family):
-    alpha: Fraction
+class _CenteredFamily(Family):
+    """A family whose Newton nodes all equal one center c.
+
+    Then p_n(x) = T(x - c) for T = sum_j t_j x^j: one integer Taylor shift
+    of the scalars, and none when c = 0."""
 
     kind = "differential"
+    _center: int
+
+    def _build_poly(self, n: int) -> Polynomial:
+        return Polynomial(self._scalars(n)).shift_arg(-self._center)
+
+
+@dataclass(frozen=True)
+class Laguerre(_CenteredFamily):
+    alpha: Fraction
+
+    _center = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -345,9 +359,6 @@ class Laguerre(Family):
             Fraction((-1) ** j * rise[j], qs[n - j] * fact[j] * fact[n - j]) for j in range(n + 1)
         ]
 
-    def _nodes(self, n: int):
-        return (0,) * n
-
     def eigenvalue(self, n: int) -> Fraction:
         return Fraction(-n)
 
@@ -358,11 +369,11 @@ class Laguerre(Family):
 
 
 @dataclass(frozen=True)
-class Jacobi(Family):
+class Jacobi(_CenteredFamily):
     alpha: Fraction
     beta: Fraction
 
-    kind = "differential"
+    _center = 1
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -393,9 +404,6 @@ class Jacobi(Family):
             Fraction(rise[j] * low[j], qs[n - j] * rs[j] * fact[j] * fact[n - j])
             for j in range(n + 1)
         ]
-
-    def _nodes(self, n: int):
-        return (1,) * n
 
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (n + self.alpha + self.beta + 1)

@@ -317,14 +317,14 @@ def verify_eigen(kc: KrallConstruction, nmax: Optional[int] = None) -> EigenRepo
     nmax = kc.nmax if nmax is None else nmax
     check_at_least("nmax", nmax, 0)
     op = kc.operator
-    # A difference operator's identity is decided on integer points; only an
-    # n that fails there builds D_q q_n as a polynomial, for its residual.
-    grid = EigenGrid(op) if isinstance(op, DifferenceOperator) else None
+    # The identity is decided in integers; only an n that fails there builds
+    # D_q q_n as a polynomial, for its residual.
+    grid = EigenGrid(op)
     checks = []
     for n in range(nmax + 1):
         qn = kc.q(n)
         lam = kc.eigval(n)
-        if grid is not None and grid.holds(qn, lam):
+        if grid.holds(qn, lam):
             checks.append(EigenCheck(n=n, ok=True, expected=lam))
             continue
         got, want = op.apply(qn), qn * lam
@@ -334,7 +334,7 @@ def verify_eigen(kc: KrallConstruction, nmax: Optional[int] = None) -> EigenRepo
     expected_order = 2 * k + 2
     order = op.order()
     order_ok = order == expected_order
-    if grid is not None:
+    if isinstance(op, DifferenceOperator):
         genre = op.genre()
         genre_ok = genre == (-k - 1, k + 1)
     else:

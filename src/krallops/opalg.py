@@ -8,6 +8,12 @@ from an integer key (the shift l, or the order j >= 0) to a nonzero
 polynomial coefficient, and share its linear-space operations; each kind
 adds its own apply, compose and shape.  Both serialize to JSON with
 bit-exact rationals.
+
+``EigenGrid`` decides an eigen identity op(q) = lam q for both kinds with
+one integer loop: on the values of q at integer points for a difference
+operator, and on the coefficients of q for a differential one.  Each kind
+supplies only the rows of that loop (``_grid_rows``) and the sequence it
+reads off q (``_grid_sequence``).
 """
 
 from __future__ import annotations
@@ -190,6 +196,19 @@ class DifferenceOperator(_KeyedOperator):
             pairs.append((f._ints(), qs))
         return _sum_of_products(pairs, den)
 
+    def _grid_rows(self) -> tuple[dict[int, list[int]], int, int]:
+        """EigenGrid's rows: op(q)(x) = sum_l F_l(x) q(x + l) / D at every x.
+
+        Returns {l: F_l}, the integer numerators of the coefficients over one
+        denominator D, with D and e, the largest degree of an F_l."""
+        fs, den = _common_ints(self._terms.values())
+        return dict(zip(self._terms, fs)), den, max((len(f) - 1 for f in fs), default=0)
+
+    @staticmethod
+    def _grid_sequence(nums: tuple[int, ...], start: int, stop: int) -> list[int]:
+        """The integer polynomial ``nums`` at x = start..stop-1."""
+        return _values_at(nums, range(start, stop))
+
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
         # f(x)Sh_a then g(x)Sh_b on the right: f(x)*g(x+a)*Sh_{a+b}.  The g
         # share one denominator, so each key's products sum in integers.
@@ -214,47 +233,6 @@ class DifferenceOperator(_KeyedOperator):
         if not self._terms:
             return "0"
         return " + ".join(f"({f})*S[{s}]" for s, f in self._terms.items())
-
-
-class EigenGrid:
-    """Decides op(q) == lam * q for one difference operator on integer points.
-
-    With d = deg q, e the largest coefficient degree and K the largest
-    |shift|, the residual op(q) - lam q has degree at most d + e, so it is
-    the zero polynomial exactly when it vanishes at x = 0..d+e.  The
-    coefficients' integer numerators F_l over one denominator D are
-    evaluated on 0, 1, 2, ... once, the range doubling whenever a check
-    needs more.  Each check evaluates the numerators Q of q on -K..d+e+K,
-    where Sh_l is an index offset, and compares b * sum_l F_l(x) Q(x+l)
-    with a * D * Q(x) for lam = a/b, in integers."""
-
-    __slots__ = ("_shifts", "_fs", "_den", "_extra", "_reach", "_table")
-
-    def __init__(self, op: DifferenceOperator):
-        self._fs, self._den = _common_ints(op._terms.values())
-        self._shifts = list(op._terms)
-        self._extra = max((len(f) - 1 for f in self._fs), default=0)
-        self._reach = max((abs(s) for s in self._shifts), default=0)
-        self._table: list[list[int]] = [[] for _ in self._fs]
-
-    def holds(self, q: Polynomial, lam: RatLike) -> bool:
-        nums, _ = q._ints()
-        if not nums:
-            return True
-        points = len(nums) + self._extra  # x = 0..d+e
-        if self._table and len(self._table[0]) < points:
-            size = max(points, 2 * len(self._table[0]))
-            for f, tab in zip(self._fs, self._table):
-                tab.extend(_values_at(f, range(len(tab), size)))
-        reach = self._reach
-        values = _values_at(nums, range(-reach, points + reach))
-        lhs = [0] * points
-        for shift, tab in zip(self._shifts, self._table):
-            start = reach + shift
-            lhs = [s + f * v for s, f, v in zip(lhs, tab, values[start : start + points])]
-        lam = as_fraction(lam)
-        b, a_den = lam.denominator, lam.numerator * self._den
-        return [b * s for s in lhs] == [a_den * v for v in values[reach : reach + points]]
 
 
 class DifferentialOperator(_KeyedOperator):
@@ -300,6 +278,42 @@ class DifferentialOperator(_KeyedOperator):
             pairs.append((f._ints(), d))
         return _sum_of_products(pairs, den)
 
+    def _grid_rows(self) -> tuple[dict[int, list[int]], int, int]:
+        """EigenGrid's rows: coefficient s of op(q) is sum_t G_t(s) q_{s+t} / D.
+
+        f_j(x) (d/dx)^j sends x^m to sum_i f_{j,i} m(m-1)...(m-j+1) x^(m-j+i),
+        so with t = j - i, G_t(s) = sum_j F_{j,j-t} (s+t)(s+t-1)...(s+t-j+1),
+        F_j the integer numerators of the f_j over one denominator D.  Returns
+        {t: G_t} for the t with some F_{j,j-t} != 0, D, and
+        e = max(0, max_j (deg f_j - j)), the most that op raises a degree.
+        Falling factorials of distinct degree are independent, so no listed
+        G_t is zero."""
+        fs, den = _common_ints(self._terms.values())
+        by_order = dict(zip(self._terms, fs))
+        extra = max([0, *(len(f) - 1 - j for j, f in by_order.items())])
+        order = max(by_order, default=-1)
+        rows: dict[int, list[int]] = {}
+        for t in range(-extra, order + 1):
+            row: list[int] = []
+            falling = [1]  # (s+t)(s+t-1)...(s+t-j+1) in s
+            for j in range(order + 1):
+                f = by_order.get(j, ())
+                c = f[j - t] if 0 <= j - t < len(f) else 0
+                if c:
+                    row += [0] * (len(falling) - len(row))
+                    row = [a + c * b for a, b in zip(row, falling)]
+                falling = [(t - j) * a + b for a, b in zip(falling + [0], [0] + falling)]
+            if row:
+                rows[t] = row
+        return rows, den, extra
+
+    @staticmethod
+    def _grid_sequence(nums: tuple[int, ...], start: int, stop: int) -> list[int]:
+        """The coefficients nums[m] for m = start..stop-1, zero outside nums."""
+        lo = max(start, 0)
+        seq = [0] * (lo - start) + list(nums[lo:stop])
+        return seq + [0] * (stop - start - len(seq))
+
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         # Leibniz: (d/dx)^i (g h) = sum_m C(i,m) g^(m) h^(i-m).  The g share
         # one denominator, so each order's products sum in integers.
@@ -330,6 +344,53 @@ class DifferentialOperator(_KeyedOperator):
 
 
 Operator = Union[DifferenceOperator, DifferentialOperator]
+
+
+class EigenGrid:
+    """Decides op(q) == lam * q exactly, for either operator kind, in integers.
+
+    Each kind reads op(q) as a sequence rule: entry x of op(q) is
+    sum_l R_l(x) V[x + l] / D, where V is a sequence read off q, the R_l
+    are integer polynomials and D is one denominator (``_grid_rows``).  For
+    a difference operator V holds the values of q at the integers and R_l
+    is the numerator of the coefficient of Sh_l; for a differential
+    operator V holds the coefficients of q and x is a power.  With
+    d = deg q, the residual op(q) - lam q has degree at most d + e (e from
+    ``_grid_rows``), so it is the zero polynomial exactly when entries
+    x = 0..d+e vanish: values at d + e + 1 points, or every coefficient.
+    The R_l are evaluated on 0, 1, 2, ... once, the range doubling whenever
+    a check needs more.  Each check reads V on lo..d+e+hi, for lo and hi
+    the offsets' extremes with 0, and compares b * sum_l R_l(x) V[x + l]
+    with a * D * V[x] for lam = a/b."""
+
+    __slots__ = ("_offsets", "_rows", "_den", "_extra", "_lo", "_hi", "_sequence", "_table")
+
+    def __init__(self, op: Operator):
+        rows, self._den, self._extra = op._grid_rows()
+        self._offsets, self._rows = list(rows), list(rows.values())
+        self._lo = min([0, *self._offsets])
+        self._hi = max([0, *self._offsets])
+        self._sequence = op._grid_sequence
+        self._table: list[list[int]] = [[] for _ in self._rows]
+
+    def holds(self, q: Polynomial, lam: RatLike) -> bool:
+        nums, _ = q._ints()
+        if not nums:
+            return True
+        points = len(nums) + self._extra  # x = 0..d+e
+        if self._table and len(self._table[0]) < points:
+            size = max(points, 2 * len(self._table[0]))
+            for f, tab in zip(self._rows, self._table):
+                tab.extend(_values_at(f, range(len(tab), size)))
+        lo = self._lo
+        seq = self._sequence(nums, lo, points + self._hi)
+        lhs = [0] * points
+        for offset, tab in zip(self._offsets, self._table):
+            start = offset - lo
+            lhs = [s + f * v for s, f, v in zip(lhs, tab, seq[start : start + points])]
+        lam = as_fraction(lam)
+        b, a_den = lam.denominator, lam.numerator * self._den
+        return [b * s for s in lhs] == [a_den * v for v in seq[-lo : points - lo]]
 
 
 def identity_like(op: Operator) -> Operator:

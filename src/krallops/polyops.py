@@ -93,6 +93,10 @@ class Polynomial:
         if not ts:
             return cls()
         m = len(ts) - 1
+        if len(nodes) < m:
+            raise ValueError(
+                f"nodes must have at least {m} entries for {m + 1} scalars; got {len(nodes)}"
+            )
         xs = [as_fraction(nodes[i]) for i in range(m)]
         D = lcm(*[t.denominator for t in ts])
         E = lcm(*[x.denominator for x in xs])

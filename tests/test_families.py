@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from krallops.errors import DegeneracyError
 from krallops.families import (
@@ -315,3 +317,27 @@ def test_family_name_round_trip():
         family_from_name("legendre", {})
     with pytest.raises(ValueError):
         family_from_name("meixner", {"a": "2"})
+
+
+# alpha and beta from integers (Laguerre's scalars vanish at alpha = -1, -2, ...)
+# and from rationals with small and large denominators.
+family_rationals = st.one_of(
+    st.integers(-12, 12).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**9),
+)
+
+
+@given(st.sampled_from([Laguerre, Jacobi]), family_rationals, family_rationals, st.integers(0, 40))
+@example(Laguerre, F(-3), F(0), 40)  # t_0 = t_1 = t_2 = 0
+@settings(max_examples=150, deadline=None)
+def test_centered_families_are_one_taylor_shift_of_their_newton_form(cls, alpha, beta, n):
+    # Every Newton node of p_n is 0 (Laguerre) or 1 (Jacobi).
+    try:
+        fam, center = (Laguerre(alpha), 0) if cls is Laguerre else (Jacobi(alpha, beta), 1)
+    except DegeneracyError:
+        return
+    scalars = fam._scalars(n)
+    got, want = fam.polynomial(n), Polynomial.from_newton(scalars, (center,) * n)
+    assert got._ints() == want._ints()
+

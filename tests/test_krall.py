@@ -36,7 +36,7 @@ from krallops.krall import (
     verify_eigen,
 )
 from krallops.moments import gram_check, orthoseq
-from krallops.opalg import DifferenceOperator, EigenGrid, operator_from_json
+from krallops.opalg import DifferenceOperator, DifferentialOperator, EigenGrid, operator_from_json
 from krallops.polyops import Polynomial, pochhammer
 
 F = Fraction
@@ -392,11 +392,14 @@ DIFFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind, params", DIFFERENCE_CASES, ids=[c[0] for c in DIFFERENCE_CASES])
-@pytest.mark.parametrize("k", [1, 3])
-def test_grid_decides_named_eigenpairs_like_the_polynomial_path(kind, params, k):
-    nmax = 8
-    kc = named(kind, params, k=k, nmax=nmax).construction
+# Laguerre and Jacobi take their seed degree k from alpha resp. beta.
+DIFFERENTIAL_CASES = [
+    ("laguerre", lambda k: {"alpha": k, "mass": F(3, 4)}),
+    ("jacobi", lambda k: {"alpha": F(4, 3), "beta": k, "mass": F(5, 4)}),
+]
+
+
+def _assert_checks_match_apply(kc: KrallConstruction, nmax: int) -> None:
     grid = EigenGrid(kc.operator)
     for n in range(nmax + 1):
         q, lam = kc.q(n), kc.eigval(n)
@@ -411,27 +414,56 @@ def test_grid_decides_named_eigenpairs_like_the_polynomial_path(kind, params, k)
             assert not verdict or n == 0
 
 
+@pytest.mark.parametrize("kind, params", DIFFERENCE_CASES, ids=[c[0] for c in DIFFERENCE_CASES])
+@pytest.mark.parametrize("k", [1, 3])
+def test_grid_decides_named_eigenpairs_like_the_polynomial_path(kind, params, k):
+    _assert_checks_match_apply(named(kind, params, k=k, nmax=8).construction, 8)
+
+
+@pytest.mark.parametrize(
+    "kind, params", DIFFERENTIAL_CASES, ids=[c[0] for c in DIFFERENTIAL_CASES]
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_coefficients_decide_named_eigenpairs_like_the_polynomial_path(kind, params, k):
+    _assert_checks_match_apply(named(kind, params(k), k=k, nmax=8).construction, 8)
+
+
 _rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 _coeffs = st.lists(_rationals, min_size=1, max_size=4).map(Polynomial)
 _shift_ops = st.dictionaries(st.integers(-4, 4), _coeffs, max_size=3).map(DifferenceOperator)
+_derivative_ops = st.dictionaries(st.integers(0, 5), _coeffs, max_size=3).map(
+    DifferentialOperator
+)
+
+
+def _assert_residuals_match_apply(kc: KrallConstruction, op, nmax: int) -> None:
+    """Each check of verify_eigen with ``op`` in place of D_q must agree with
+    D q_n - lambda_n q_n built as a polynomial, and keep it when it fails."""
+    if op.is_zero():
+        return
+    report = verify_eigen(dataclasses.replace(kc, operator=op))
+    assert [c.n for c in report.checks] == list(range(nmax + 1))
+    for c in report.checks:
+        residual = op.apply(kc.q(c.n)) - kc.q(c.n) * kc.eigval(c.n)
+        assert c.ok == residual.is_zero()
+        assert c.residual == (None if c.ok else residual)
 
 
 @settings(max_examples=60)
 @given(st.sampled_from(DIFFERENCE_CASES), _shift_ops, st.booleans())
 def test_failed_grid_checks_keep_the_polynomial_residual(case, delta, perturb):
-    # Random operators, or the true D_q plus a random perturbation: each check
-    # must agree with D q_n - lambda_n q_n built as a polynomial.
+    # Random operators, or the true D_q plus a random perturbation.
     kind, params = case
     kc = named(kind, params, k=2, nmax=6).construction
-    op = kc.operator + delta if perturb else delta
-    if op.is_zero():
-        return
-    report = verify_eigen(dataclasses.replace(kc, operator=op))
-    assert [c.n for c in report.checks] == list(range(7))
-    for c in report.checks:
-        residual = op.apply(kc.q(c.n)) - kc.q(c.n) * kc.eigval(c.n)
-        assert c.ok == residual.is_zero()
-        assert c.residual == (None if c.ok else residual)
+    _assert_residuals_match_apply(kc, kc.operator + delta if perturb else delta, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_CASES), st.integers(1, 2), _derivative_ops, st.booleans())
+def test_failed_coefficient_checks_keep_the_polynomial_residual(case, k, delta, perturb):
+    kind, params = case
+    kc = named(kind, params(k), k=k, nmax=6).construction
+    _assert_residuals_match_apply(kc, kc.operator + delta if perturb else delta, 6)
 
 
 def test_replaced_copies_share_memos_only_with_the_same_inputs():

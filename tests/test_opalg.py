@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krallops.errors import OperatorError
+from krallops.errors import DegeneracyError, OperatorError
+from krallops.families import Jacobi, Laguerre
 from krallops.opalg import (
     DifferenceOperator,
     DifferentialOperator,
     EigenGrid,
+    Operator,
     identity_like,
     op_linear,
     operator_from_json,
@@ -217,7 +220,7 @@ def test_subtraction_of_the_other_kind_or_a_number_names_minus():
 # -- eigen identities on an integer grid ---------------------------------------------
 
 
-def _grid_agrees(op: DifferenceOperator, q: Polynomial, lam: Fraction) -> bool:
+def _grid_agrees(op: Operator, q: Polynomial, lam: Fraction) -> bool:
     """The grid's verdict, asserted equal to the polynomial one."""
     verdict = EigenGrid(op).holds(q, lam)
     assert verdict == (op.apply(q) == q * lam)
@@ -276,3 +279,85 @@ def test_grid_of_the_zero_operator_and_the_zero_polynomial():
     assert _grid_agrees(DifferenceOperator(), q, 0)
     assert not _grid_agrees(DifferenceOperator(), q, 1)
     assert _grid_agrees(DifferenceOperator.forward_difference(), Polynomial(), 5)
+
+
+# -- eigen identities on coefficients (differential operators) -------------------------
+
+wide_polys = st.lists(rationals, min_size=0, max_size=7).map(Polynomial)
+
+
+def wide_differential_ops():
+    """Orders up to 4 and coefficient degrees up to 6, so that deg f_j > j
+    (an operator outside the algebra) is common."""
+    return st.dictionaries(st.integers(0, 4), wide_polys, max_size=4).map(DifferentialOperator)
+
+
+def _killing(q: Polynomial, g: Polynomial) -> DifferentialOperator:
+    """g(x) (q'(x) - q(x) d/dx), which sends q to 0."""
+    return DifferentialOperator({0: g * q.derivative(), 1: -(g * q)})
+
+
+@settings(max_examples=300)
+@given(wide_differential_ops(), test_polys, rationals)
+def test_coefficient_verdict_matches_apply_on_random_input(op, q, lam):
+    _grid_agrees(op, q, lam)
+
+
+@settings(max_examples=200)
+@given(
+    wide_differential_ops(),
+    st.lists(rationals, min_size=1, max_size=7).map(Polynomial).filter(lambda p: not p.is_zero()),
+    rationals,
+    wide_polys,
+    rationals.filter(bool),
+)
+def test_coefficients_accept_true_eigenpairs_and_reject_perturbed_ones(op, q, lam, g, delta):
+    true_op = _killing(q, g) + DifferentialOperator({0: lam})
+    assert _grid_agrees(true_op, q, lam)
+    assert not _grid_agrees(true_op, q, lam + delta)
+    _grid_agrees(true_op + op, q, lam)
+    _grid_agrees(true_op, q + Polynomial.monomial(q.degree + 1, delta), lam)
+
+
+family_params = st.fractions(min_value=-7, max_value=7, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Laguerre, Jacobi]), family_params, family_params, rationals.filter(bool))
+def test_coefficients_decide_the_family_eigen_equation(cls, alpha, beta, delta):
+    try:
+        fam = Laguerre(alpha) if cls is Laguerre else Jacobi(alpha, beta)
+    except DegeneracyError:
+        return
+    op = fam.second_order_op()
+    grid = EigenGrid(op)
+    for n in range(13):
+        p, theta = fam.polynomial(n), fam.eigenvalue(n)
+        assert grid.holds(p, theta) and _grid_agrees(op, p, theta)
+        assert not _grid_agrees(op, p, theta + delta)
+        _grid_agrees(op, p + fam.polynomial(max(n - 1, 0)) * delta, theta)
+
+
+@pytest.mark.parametrize("d, e", [(0, 0), (0, 2), (2, 1), (3, 0), (4, 3), (6, 1)])
+def test_coefficients_need_every_power(d, e):
+    # For each power s in 0..d+e, an operator whose residual on q = x^d is
+    # exactly x^s: lam plus h = x^(s-d+j) (d/dx)^j / (d(d-1)...(d-j+1)), which
+    # sends x^d to x^s, plus x^(d+1+e) (d/dx)^(d+1), which kills x^d and
+    # raises degrees by e.
+    q, lam = Polynomial.monomial(d), Fraction(-2, 7)
+    for s in range(d + e + 1):
+        j = max(d - s, 0)
+        op = (
+            DifferentialOperator({0: lam})
+            + DifferentialOperator.ddx(j, Polynomial.monomial(s - d + j, Fraction(1, perm(d, j))))
+            + DifferentialOperator.ddx(d + 1, Polynomial.monomial(d + 1 + e))
+        )
+        assert op.apply(q) - q * lam == Polynomial.monomial(s)
+        assert not _grid_agrees(op, q, lam)
+
+
+def test_coefficients_of_the_zero_operator_and_the_zero_polynomial():
+    q = Polynomial((1, 2, 3))
+    assert _grid_agrees(DifferentialOperator(), q, 0)
+    assert not _grid_agrees(DifferentialOperator(), q, 1)
+    assert _grid_agrees(DifferentialOperator.ddx(2, Polynomial((0, 0, 0, 1))), Polynomial(), 5)

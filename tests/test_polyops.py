@@ -56,6 +56,14 @@ def test_from_roots():
     assert p(1) == 0 and p(2) == 0
 
 
+def test_from_newton_rejects_too_few_nodes():
+    message = "nodes must have at least 2 entries for 3 scalars; got 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Polynomial.from_newton([1, 2, 3], [0])
+    # Extra nodes are not read: the last scalar multiplies the first m of them.
+    assert Polynomial.from_newton([1, 2, 3], [0, 1, 9]) == Polynomial.from_newton([1, 2, 3], [0, 1])
+
+
 def test_derivative():
     p = Polynomial((5, 0, 0, 2))  # 2x^3 + 5
     assert p.derivative() == Polynomial((0, 0, 6))
