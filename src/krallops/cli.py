@@ -47,6 +47,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 
+# krall --ortho checks q_0..q_n for n <= min(--nmax, ORTHO_CAP).
+ORTHO_CAP = 8
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -227,7 +230,7 @@ def _run_krall(args) -> tuple[dict, list[str], bool]:
         lines.append("no finite-order operator for these parameters (orthogonality only)")
 
     if args.ortho:
-        upto = min(nmax, 8)
+        upto = min(nmax, ORTHO_CAP)
         gram = moments.gram_check(nc.functional, kc.q_sequence(upto))
         report["ortho"] = {
             "ok": gram.ok,
@@ -235,7 +238,8 @@ def _run_krall(args) -> tuple[dict, list[str], bool]:
             "diag_signs": gram.diagonal_signs,
         }
         ok = ok and gram.ok
-        lines.append(f"orthogonality q_0..q_{upto}: {'pass' if gram.ok else 'FAIL'}")
+        capped = f" (capped at {ORTHO_CAP}; --nmax {nmax})" if nmax > upto else ""
+        lines.append(f"orthogonality q_0..q_{upto}{capped}: {'pass' if gram.ok else 'FAIL'}")
 
     if args.band:
         k = kc.seed_degree if kc.seed_degree is not None else args.k

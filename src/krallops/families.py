@@ -3,9 +3,12 @@
 Each family knows its polynomials as a terminating hypergeometric sum in
 Newton form (terms and nodes), its second-order eigenoperator, its
 eigenvalue sequence theta_n, and its three-term recurrence
-x*p_n = a_n*p_{n+1} + b_n*p_n + c_n*p_{n-1}.  The discrete families on a
-quadratic lattice (Hahn) and the Jacobi family also expose the r_j basis
-and the u_j sequences used by the second-kind lowering operators.
+x*p_n = a_n*p_{n+1} + b_n*p_n + c_n*p_{n-1}.  The recurrence is data: a_n,
+b_n and c_n are closed-form rational functions of n with integer
+coefficients (a ``Recurrence``), built once per family on first use, and
+``ttr(n)`` evaluates them without building any p_n.  The discrete families
+on a quadratic lattice (Hahn) and the Jacobi family also expose the r_j
+basis and the u_j sequences used by the second-kind lowering operators.
 
 All parameters are exact rationals; degenerate parameter values raise
 DegeneracyError naming the factor that collapsed.
@@ -17,11 +20,13 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple, Optional
 
 from .errors import DegeneracyError, check_at_least
 from .opalg import DifferenceOperator, DifferentialOperator, Operator
 from .polyops import (
     Polynomial,
+    RationalFunction,
     RatLike,
     _expand_graded,
     _running,
@@ -60,9 +65,30 @@ class Family:
     def second_order_op(self) -> Operator:
         raise NotImplementedError
 
+    def _build_recurrence(self) -> Recurrence:
+        """The closed-form recurrence for this normalisation of p_n (a_n is
+        the ratio of leading coefficients); cross-checked against Koekoek,
+        Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials and Their
+        q-Analogues (Springer 2010), ch. 9."""
+        raise NotImplementedError
+
     def ttr(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        """Coefficients (a_n, b_n, c_n) of x*p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}."""
-        return _ttr_by_expansion(self, n)
+        """Coefficients (a_n, b_n, c_n) of x*p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}.
+
+        Each is the family's rational function of n at this n; c_0 = 0."""
+        rec = _recurrence(self)
+        try:
+            if n > 0:
+                return rec.a(n), rec.b(n), rec.c(n)
+            check_at_least("n", n, 0)
+            return rec.a(0), rec.b(0) if rec.b0 is None else rec.b0, Fraction(0)
+        except ZeroDivisionError:
+            for factor, label in rec.poles:
+                if factor(n) == 0:
+                    raise DegeneracyError(
+                        f"{type(self).__name__} recurrence degenerate at n={n}: {label} = 0"
+                    ) from None
+            raise
 
     def name(self) -> str:
         return type(self).__name__.lower()
@@ -75,17 +101,25 @@ def _classical_poly(fam: Family, n: int) -> Polynomial:
     return fam._build_poly(n)
 
 
+class Recurrence(NamedTuple):
+    """x*p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1} as data: a_n, b_n and c_n are
+    rational functions of n with integer coefficients.
+
+    ``b0`` stands for b_0 where the formula for b_n is 0/0 at n = 0.  c_0 is
+    0 for every family: it multiplies p_{-1} = 0.  ``poles`` labels the
+    linear factors of the denominators, for the error raised where one
+    vanishes."""
+
+    a: RationalFunction
+    b: RationalFunction
+    c: RationalFunction
+    b0: Optional[Fraction] = None
+    poles: tuple[tuple[Polynomial, str], ...] = ()
+
+
 @lru_cache(maxsize=None)
-def _ttr_by_expansion(fam: Family, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Derive TTR coefficients by expanding x*p_n in the family basis."""
-    coeffs = expand_in_family_basis(fam, Polynomial.x() * fam.polynomial(n))
-    for m, c in enumerate(coeffs[: max(n - 1, 0)]):
-        if c != 0:
-            raise DegeneracyError(
-                f"x*p_{n} has a component on p_{m}; family data is inconsistent"
-            )
-    c_n = coeffs[n - 1] if n >= 1 else Fraction(0)
-    return (coeffs[n + 1], coeffs[n], c_n)
+def _recurrence(fam: Family) -> Recurrence:
+    return fam._build_recurrence()
 
 
 def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
@@ -161,8 +195,10 @@ class Charlier(_LatticeFamily):
             {-1: Polynomial.x(), 0: Polynomial((-a, -1)), 1: Polynomial((a,))}
         )
 
-    def ttr(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        return (Fraction(n + 1), n + self.a, self.a)
+    def _build_recurrence(self) -> Recurrence:
+        n, a = Polynomial.x(), self.a
+        return Recurrence(RationalFunction.of(n + 1), RationalFunction.of(n + a),
+                          RationalFunction.of(a))
 
 
 @dataclass(frozen=True)
@@ -205,12 +241,12 @@ class Meixner(_LatticeFamily):
             }
         )
 
-    def ttr(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        a, c = self.a, self.c
-        return (
-            a * (n + 1) / (a - 1),
-            -((1 + a) * n + a * c) / (a - 1),
-            (n + c - 1) / (a - 1),
+    def _build_recurrence(self) -> Recurrence:
+        n, a, c = Polynomial.x(), self.a, self.c
+        return Recurrence(
+            RationalFunction.of((n + 1) * a, a - 1),
+            RationalFunction.of(-(n * (1 + a) + a * c), a - 1),
+            RationalFunction.of(n + (c - 1), a - 1),
         )
 
 
@@ -250,6 +286,14 @@ class Krawtchouk(_LatticeFamily):
                 0: Polynomial((a * (-N + 1), -(1 - a))),
                 1: Polynomial((-a * (-N + 1), -a)),
             }
+        )
+
+    def _build_recurrence(self) -> Recurrence:
+        n, a, N = Polynomial.x(), self.a, self.N
+        return Recurrence(
+            RationalFunction.of(n + 1),
+            RationalFunction.of(n * (1 - a) + a * (N - 1), 1 + a),
+            RationalFunction.of((N - n) * a, (1 + a) ** 2),
         )
 
 
@@ -298,24 +342,27 @@ class Hahn(_LatticeFamily):
         f_0 = Polynomial((al + N * (c - 1) - 1, al - c + N - 1, -2))
         return DifferenceOperator({-1: f_m1, 0: f_0, 1: f_p1})
 
-    def ttr(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        al, c, N = self.alpha, self.c, self.N
+    def _build_recurrence(self) -> Recurrence:
+        n, al, c, N = Polynomial.x(), self.alpha, self.c, self.N
         s = al + c - N
-        needed = [(2 * n + s - 1, "2n+alpha+c-N-1"), (2 * n + s + 1, "2n+alpha+c-N+1")]
-        if n >= 1:
-            needed += [(2 * n + s - 2, "2n+alpha+c-N-2"), (2 * n + s, "2n+alpha+c-N")]
-        for factor, label in needed:
-            if factor == 0:
-                raise DegeneracyError(f"Hahn recurrence degenerate at n={n}: {label} = 0")
-        b_n = (
-            c * (N - 1) * (s - 1) + n * (al - c + N - 1) * (n + s)
-        ) / ((2 * n + s - 1) * (2 * n + s + 1))
-        if n == 0:
-            return (Fraction(1), b_n, Fraction(0))
-        c_n = (
-            n * (N - n) * (n + s - 1) * (n + al - N) * (n + c - 1) * (n + al + c - 1)
-        ) / ((2 * n + s - 2) * (2 * n + s - 1) ** 2 * (2 * n + s))
-        return (Fraction(1), b_n, c_n)
+
+        def lin(k: int) -> Polynomial:  # 2n+s+k
+            return n * 2 + (s + k)
+
+        c_num = n * (N - n) * (n + (s - 1)) * (n + (al - N)) * (n + (c - 1)) * (n + (al + c - 1))
+        return Recurrence(
+            RationalFunction.of(1),
+            RationalFunction.of(
+                n * (al - c + N - 1) * (n + s) + c * (N - 1) * (s - 1), lin(-1) * lin(1)
+            ),
+            RationalFunction.of(c_num, lin(-2) * lin(-1) ** 2 * lin(0)),
+            poles=(
+                (lin(-1), "2n+alpha+c-N-1"),
+                (lin(1), "2n+alpha+c-N+1"),
+                (lin(-2), "2n+alpha+c-N-2"),
+                (lin(0), "2n+alpha+c-N"),
+            ),
+        )
 
     def r_basis(self, j: int) -> Polynomial:
         return lattice_product(j, self.alpha + self.c - self.N - 2)
@@ -365,6 +412,14 @@ class Laguerre(_CenteredFamily):
     def second_order_op(self) -> DifferentialOperator:
         return DifferentialOperator(
             (Polynomial.zero(), Polynomial((self.alpha + 1, -1)), Polynomial.x())
+        )
+
+    def _build_recurrence(self) -> Recurrence:
+        n, al = Polynomial.x(), self.alpha
+        return Recurrence(
+            RationalFunction.of(-(n + 1)),
+            RationalFunction.of(n * 2 + (al + 1)),
+            RationalFunction.of(-(n + al)),
         )
 
 
@@ -419,6 +474,21 @@ class Jacobi(_CenteredFamily):
                 Polynomial((be - al, -(al + be + 2))),
                 Polynomial((1, 0, -1)),
             )
+        )
+
+    def _build_recurrence(self) -> Recurrence:
+        n, al, be = Polynomial.x(), self.alpha, self.beta
+        s = al + be
+
+        def lin(k: int) -> Polynomial:  # 2n+s+k
+            return n * 2 + (s + k)
+
+        # b_n is 0/0 at n = 0 when s = 0; cancelling s gives b_0 for every s.
+        return Recurrence(
+            RationalFunction.of((n + 1) * (n + (s + 1)) * 2, lin(1) * lin(2)),
+            RationalFunction.of(be * be - al * al, lin(0) * lin(2)),
+            RationalFunction.of((n + al) * (n + be) * 2, lin(0) * lin(1)),
+            b0=(be - al) / (s + 2),
         )
 
     def r_basis(self, j: int) -> Polynomial:

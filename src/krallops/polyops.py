@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import check_at_least
 
@@ -369,6 +369,43 @@ def _coerce_poly(value):
         return Polynomial((as_fraction(value),))
     except TypeError:
         return NotImplemented
+
+
+# A NamedTuple, not a dataclass: the class is made at import, where the
+# dataclass decorator costs about 0.8 ms of every CLI call.
+class RationalFunction(NamedTuple):
+    """num(n) / den(n) for integer polynomials num and den in n.
+
+    Both are ascending integer coefficient tuples with no common content.
+    At an integer n each is one integer Horner loop, and the quotient is
+    reduced to a Fraction once; a vanishing den(n) raises ZeroDivisionError.
+    """
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+
+    @classmethod
+    def of(
+        cls, num: Union[Polynomial, RatLike], den: Union[Polynomial, RatLike] = 1
+    ) -> "RationalFunction":
+        """num / den for rational polynomials or constants, over one integer
+        denominator."""
+        num, den = _coerce_poly(num), _coerce_poly(den)
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        (a, da), (b, db) = num._ints(), den._ints()
+        # (a / da) / (b / db) = (a db) / (b da)
+        top, bot = [c * db for c in a], [c * da for c in b]
+        g = gcd(*top, *bot)
+        return cls(tuple([c // g for c in top]), tuple([c // g for c in bot]))
+
+    def __call__(self, n: int) -> Fraction:
+        top = bot = 0
+        for c in reversed(self.num):
+            top = top * n + c
+        for c in reversed(self.den):
+            bot = bot * n + c
+        return Fraction(top, bot)
 
 
 # -- combinatorial bases and scalars ------------------------------------------

@@ -97,6 +97,21 @@ def test_krall_json_report_content(capsys):
     assert measure_from_json(report["measure"]) is not None
 
 
+def test_ortho_line_says_when_nmax_is_capped(capsys):
+    base = ["krall", "--theorem", "charlier", "--a", "1", "--k", "2", "--ortho"]
+    assert cli.main([*base, "--nmax", "10"]) == 0
+    assert "orthogonality q_0..q_8 (capped at 8; --nmax 10): pass\n" in capsys.readouterr().out
+    for nmax in ("6", "8"):
+        assert cli.main([*base, "--nmax", nmax]) == 0
+        out = capsys.readouterr().out
+        assert f"orthogonality q_0..q_{nmax}: pass\n" in out
+        assert "capped" not in out
+    # The JSON report keeps only the reach, as before.
+    code, doc = run_json(capsys, ["--json", *base, "--nmax", "10"])
+    assert code == 0
+    assert doc["report"]["ortho"] == {"ok": True, "upto": 8, "diag_signs": [1] * 9}
+
+
 def test_hypothesis_violation_exits_three(capsys):
     code = cli.main(["krall", "--theorem", "charlier", "--a", "2", "--k", "1"])
     assert code == 3

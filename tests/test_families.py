@@ -86,12 +86,93 @@ def test_charlier_frozen_facts():
     assert fam.ttr(4) == (F(5), F(4) + a, a)
 
 
-def test_hahn_printed_recurrence_matches_expansion():
-    from krallops.families import _ttr_by_expansion
+def ttr_by_expansion(fam, n):
+    """Reference recurrence: expand x*p_n in the family basis p_0, p_1, ...."""
+    coeffs = expand_in_family_basis(fam, Polynomial.x() * fam.polynomial(n))
+    for m, c in enumerate(coeffs[: max(n - 1, 0)]):
+        assert c == 0, f"x*p_{n} has a component on p_{m}"
+    return (coeffs[n + 1], coeffs[n], coeffs[n - 1] if n >= 1 else F(0))
 
-    fam = Hahn(F(7, 3), F(5, 2), F(1, 3))
-    for n in range(8):
-        assert fam.ttr(n) == _ttr_by_expansion(fam, n)
+
+def hahn_pole_message(fam, n):
+    """The error text of Hahn's recurrence where one of its labelled
+    denominator factors vanishes, or None."""
+    s = fam.alpha + fam.c - fam.N
+    labelled = [(2 * n + s - 1, "2n+alpha+c-N-1"), (2 * n + s + 1, "2n+alpha+c-N+1")]
+    if n >= 1:
+        labelled += [(2 * n + s - 2, "2n+alpha+c-N-2"), (2 * n + s, "2n+alpha+c-N")]
+    for factor, label in labelled:
+        if factor == 0:
+            return f"Hahn recurrence degenerate at n={n}: {label} = 0"
+    return None
+
+
+def assert_recurrence_matches_expansion(fam, top):
+    for n in range(top + 1):
+        message = hahn_pole_message(fam, n) if isinstance(fam, Hahn) else None
+        if message is None:
+            assert fam.ttr(n) == ttr_by_expansion(fam, n), n
+        else:
+            with pytest.raises(DegeneracyError) as info:
+                fam.ttr(n)
+            assert str(info.value) == message
+
+
+def test_hahn_printed_recurrence_matches_expansion():
+    assert_recurrence_matches_expansion(Hahn(F(7, 3), F(5, 2), F(1, 3)), 8)
+
+
+@pytest.mark.parametrize(
+    "fam", PARAM_SETS + [Charlier(F(3, 2)), Meixner(F(-1, 7), F(13, 2))], ids=str
+)
+def test_recurrence_starts_with_c0_zero(fam):
+    # c_0 multiplies p_{-1} = 0
+    assert fam.ttr(0)[2] == 0
+    with pytest.raises(ValueError, match="n must be >= 0; got -1"):
+        fam.ttr(-1)
+
+
+# Parameters for each family across its admissible domain, drawn so that the
+# special points come up: Krawtchouk at an integer N (c_N = 0), Jacobi at
+# alpha + beta = 0 (b_n is 0/0 at n = 0), Hahn at alpha + c - N = 0 or 1
+# (a labelled factor of a denominator vanishes at n = 1 or 0).
+small_rationals = st.one_of(
+    st.integers(-6, 6).map(F), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+FAMILY_PARAMS = {
+    Charlier: st.tuples(small_rationals),
+    Meixner: st.tuples(small_rationals, small_rationals),
+    Krawtchouk: st.tuples(small_rationals, st.one_of(st.integers(0, 60).map(F), small_rationals)),
+    # drawn as (alpha, c, alpha + c - N)
+    Hahn: st.tuples(
+        small_rationals, small_rationals, st.sampled_from([F(0), F(1)]) | small_rationals
+    ).map(lambda t: (t[0], t[1], t[0] + t[1] - t[2])),
+    Laguerre: st.tuples(small_rationals),
+    # drawn as (alpha, alpha + beta)
+    Jacobi: st.tuples(small_rationals, st.just(F(0)) | small_rationals)
+    .map(lambda t: (t[0], t[1] - t[0])),
+}
+
+
+@pytest.mark.parametrize("cls", list(FAMILY_PARAMS), ids=lambda cls: cls.__name__)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_closed_form_recurrence_matches_expansion(cls, data):
+    try:
+        fam = cls(*data.draw(FAMILY_PARAMS[cls]))
+    except DegeneracyError:
+        return
+    assert_recurrence_matches_expansion(fam, 60)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [Krawtchouk(F(2, 3), F(7)), Jacobi(F(1, 2), F(-1, 2)), Jacobi(F(0), F(0)),
+     Hahn(F(1), F(3), F(4)), Hahn(F(2), F(3), F(4))],
+    ids=str,
+)
+def test_closed_form_recurrence_at_its_special_points(fam):
+    assert_recurrence_matches_expansion(fam, 12)
 
 
 @pytest.mark.parametrize(
@@ -299,8 +380,9 @@ def test_family_rejects_degenerate_parameters():
 def test_hahn_lazy_recurrence_degeneracy():
     fam = Hahn(F(1), F(3), F(4))  # alpha + c - N = 0 passes construction
     fam.polynomial(3)  # defining sums are fine
-    with pytest.raises(DegeneracyError):
-        fam.ttr(1)  # 2n + alpha + c - N - 2 = 0 at n = 1
+    with pytest.raises(DegeneracyError) as info:
+        fam.ttr(1)
+    assert str(info.value) == "Hahn recurrence degenerate at n=1: 2n+alpha+c-N-2 = 0"
     a2, b2, c2 = fam.ttr(2)
     assert a2 == 1 and c2 != 0
 

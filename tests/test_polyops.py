@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from krallops.families import dual_hahn_poly, lattice_product
 from krallops.polyops import (
     Polynomial,
+    RationalFunction,
     antidifference,
     as_fraction,
     binom_poly,
@@ -179,3 +180,24 @@ def test_json_round_trip():
 def test_hash_consistency():
     assert hash(Polynomial((1, 2))) == hash(Polynomial((Fraction(1), Fraction(2), 0)))
     assert len({Polynomial((1,)), Polynomial((Fraction(2, 2),))}) == 1
+
+
+@given(polys, polys.filter(lambda q: not q.is_zero()), st.integers(-30, 30))
+@settings(max_examples=25)
+def test_rational_function_is_the_quotient_of_its_polynomials(p, q, n):
+    f = RationalFunction.of(p, q)
+    if q(n) == 0:
+        with pytest.raises(ZeroDivisionError):
+            f(n)
+    else:
+        assert f(n) == p(n) / q(n)
+
+
+def test_rational_function_is_integer_and_content_free():
+    # (n + 1/2) / (3/4) = (4n + 2) / 3
+    assert RationalFunction.of(Polynomial((Fraction(1, 2), 1)), Fraction(3, 4)) == RationalFunction(
+        (2, 4), (3,)
+    )
+    assert RationalFunction.of(6, Polynomial((4, 2))) == RationalFunction((3,), (2, 1))
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.of(1, Polynomial.zero())
