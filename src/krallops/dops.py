@@ -7,24 +7,22 @@ a second-kind operator additionally carries a sequence sigma_n:
 The catalog is one table keyed by family type; each row pairs the defining
 sequences with a closed-form difference or differential operator, and
 verify_dop checks the two agree on p_0..p_N, reporting witnesses instead
-of raising.
+of raising.  eps_n and sigma_n are data: polyops.RationalFunction values of
+n, whose labelled poles raise DegeneracyError where a denominator vanishes.
+``catalog`` builds them once per family value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, NamedTuple, Optional
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional, Union
 
-from .errors import DegeneracyError, check_at_least
+from .errors import check_at_least
 from .families import Charlier, Family, Hahn, Jacobi, Krawtchouk, Laguerre, Meixner
-from .opalg import (
-    DifferenceOperator,
-    DifferentialOperator,
-    Operator,
-)
-from .polyops import Polynomial
+from .opalg import DifferenceOperator, DifferentialOperator, Operator
+from .polyops import Polynomial, RationalFunction, RatLike
 
 
 @dataclass(frozen=True)
@@ -34,9 +32,9 @@ class DOperator:
     kind: str  # "type1" or "type2"
     family: Family
     label: str
-    eps: Callable[[int], Fraction] = field(compare=False)
-    closed_form: Operator = field(compare=False)
-    sigma: Optional[Callable[[int], Fraction]] = field(default=None, compare=False)
+    eps: Callable[[int], Fraction]
+    closed_form: Operator
+    sigma: Optional[Callable[[int], Fraction]] = None
 
     def __post_init__(self):
         if self.kind not in ("type1", "type2"):
@@ -95,18 +93,6 @@ def verify_dop(dop: DOperator, nmax: int) -> DopVerification:
     return DopVerification(dop_label=dop.label, nmax=nmax, checks=checks)
 
 
-def _hahn_eps(fam: Hahn, n: int, numerator: Fraction) -> Fraction:
-    """numerator / ((2n+alpha+c-N-1)(2n+alpha+c-N-2))."""
-    s = fam.alpha + fam.c - fam.N
-    d = (2 * n + s - 1) * (2 * n + s - 2)
-    if d == 0:
-        raise DegeneracyError(
-            f"Hahn lowering sequence degenerate at n={n}:"
-            " (2n+alpha+c-N-1)(2n+alpha+c-N-2) = 0"
-        )
-    return numerator / d
-
-
 def _hahn_form(fam: Hahn, coeff: Polynomial, forward: bool) -> DifferenceOperator:
     """coeff(x) Delta - h, or coeff(x) Nabla + h, with h = (alpha+c-N)/2."""
     half = (fam.alpha + fam.c - fam.N) / 2
@@ -114,20 +100,14 @@ def _hahn_form(fam: Hahn, coeff: Polynomial, forward: bool) -> DifferenceOperato
     return DifferenceOperator({0: coeff}).compose(diff) + DifferenceOperator.identity() * half
 
 
-def _jacobi_eps(fam: Jacobi, n: int, top: Fraction) -> Fraction:
-    """(n + top) / (n + alpha + beta)."""
-    d = n + fam.alpha + fam.beta
-    if d == 0:
-        raise DegeneracyError(f"Jacobi lowering sequence degenerate: n+alpha+beta = 0 at n={n}")
-    return (n + top) / d
-
-
 class _Row(NamedTuple):
-    """One catalog entry, as functions of the family.  ``sign`` is sigma_n
-    against ``family.sigma`` for a second-kind operator, None for a first-kind one."""
+    """One catalog entry, as functions of the family: the numerator of eps_n
+    as a polynomial in n (the family's ``_EPS_DEN`` is its denominator),
+    sigma_n's sign against ``family.sigma`` for a second-kind operator (None
+    for a first-kind one), and the closed form."""
 
     label: str
-    eps: Callable[[Family, int], Fraction]
+    eps: Callable[[Family, Polynomial], Union[Polynomial, RatLike]]
     sign: Optional[int]
     closed_form: Callable[[Family], Operator]
 
@@ -139,13 +119,13 @@ _CATALOG: dict[type, tuple[_Row, ...]] = {
     Charlier: (
         _Row(
             "charlier-D1",
-            lambda f, n: Fraction(1),
+            lambda f, n: 1,
             None,
             lambda f: DifferenceOperator.backward_difference(),
         ),
     ),
     Meixner: (
-        _Row("meixner-D1", lambda f, n: Fraction(-1), None, lambda f: _DELTA * (f.a / (1 - f.a))),
+        _Row("meixner-D1", lambda f, n: -1, None, lambda f: _DELTA * (f.a / (1 - f.a))),
         _Row("meixner-D2", lambda f, n: -1 / f.a, None, lambda f: _NABLA * (1 / (1 - f.a))),
     ),
     Krawtchouk: (
@@ -160,36 +140,36 @@ _CATALOG: dict[type, tuple[_Row, ...]] = {
     Hahn: (
         _Row(
             "hahn-D1",
-            lambda f, n: _hahn_eps(f, n, n * (f.N - n) * (n + f.alpha - f.N)),
+            lambda f, n: n * (f.N - n) * (n + (f.alpha - f.N)),
             1,
             lambda f: _hahn_form(f, Polynomial((f.N - 1, -1)), forward=True),
         ),
         _Row(
             "hahn-D2",
-            lambda f, n: _hahn_eps(f, n, n * (n + f.alpha - f.N) * (n + f.alpha + f.c - 1)),
+            lambda f, n: n * (n + (f.alpha - f.N)) * (n + (f.alpha + f.c - 1)),
             -1,
             lambda f: _hahn_form(f, Polynomial((-f.alpha, 1)), forward=False),
         ),
         _Row(
             "hahn-D3",
-            lambda f, n: _hahn_eps(f, n, -n * (f.N - n) * (n + f.c - 1)),
+            lambda f, n: -n * (f.N - n) * (n + (f.c - 1)),
             -1,
             lambda f: _hahn_form(f, Polynomial.x(), forward=False),
         ),
         _Row(
             "hahn-D4",
-            lambda f, n: _hahn_eps(f, n, -n * (n + f.c - 1) * (n + f.alpha + f.c - 1)),
+            lambda f, n: -n * (n + (f.c - 1)) * (n + (f.alpha + f.c - 1)),
             1,
             lambda f: _hahn_form(f, Polynomial((-f.c, -1)), forward=True),
         ),
     ),
     Laguerre: (
-        _Row("laguerre-D1", lambda f, n: Fraction(-1), None, lambda f: DifferentialOperator.ddx()),
+        _Row("laguerre-D1", lambda f, n: -1, None, lambda f: DifferentialOperator.ddx()),
     ),
     Jacobi: (
         _Row(
             "jacobi-D1",
-            lambda f, n: _jacobi_eps(f, n, f.alpha),
+            lambda f, n: n + f.alpha,
             1,
             lambda f: DifferentialOperator(
                 (Polynomial((-(f.alpha + f.beta + 1) / 2,)), Polynomial((1, -1)))
@@ -197,7 +177,7 @@ _CATALOG: dict[type, tuple[_Row, ...]] = {
         ),
         _Row(
             "jacobi-D2",
-            lambda f, n: -_jacobi_eps(f, n, f.beta),
+            lambda f, n: -(n + f.beta),
             -1,
             lambda f: DifferentialOperator(
                 (Polynomial(((f.alpha + f.beta + 1) / 2,)), Polynomial((1, 1)))
@@ -206,24 +186,43 @@ _CATALOG: dict[type, tuple[_Row, ...]] = {
     ),
 }
 
-
-def _signed_sigma(sign: int, family: Family, n: int) -> Fraction:
-    return sign * family.sigma(n)
+# The denominator of every eps_n of a family, as a polynomial in n, with its
+# degeneracy text; eps_n of the other families is the numerator alone.
+_EPS_DEN: dict[type, Callable[[Family, Polynomial], tuple[Polynomial, str]]] = {
+    Hahn: lambda f, n: (
+        (n * 2 + (f.alpha + f.c - f.N - 1)) * (n * 2 + (f.alpha + f.c - f.N - 2)),
+        "Hahn lowering sequence degenerate at n={n}: (2n+alpha+c-N-1)(2n+alpha+c-N-2) = 0",
+    ),
+    Jacobi: lambda f, n: (
+        n + (f.alpha + f.beta),
+        "Jacobi lowering sequence degenerate: n+alpha+beta = 0 at n={n}",
+    ),
+}
 
 
 def catalog(family: Family) -> list[DOperator]:
     """All lowering operators this package knows for the given family."""
+    return list(_catalog(family))
+
+
+@lru_cache(maxsize=None)
+def _catalog(family: Family) -> tuple[DOperator, ...]:
+    """The catalog of one family value, built on first use."""
     rows = _CATALOG.get(type(family))
     if rows is None:
         raise ValueError(f"no lowering-operator catalog for {family!r}")
-    return [
+    n, den, poles = Polynomial.x(), 1, ()
+    if type(family) in _EPS_DEN:
+        den, text = _EPS_DEN[type(family)](family, n)
+        poles = [(den, text)]
+    return tuple(
         DOperator(
             kind="type1" if row.sign is None else "type2",
             family=family,
             label=row.label,
-            eps=partial(row.eps, family),
+            eps=RationalFunction.of(row.eps(family, n), den, poles),
             closed_form=row.closed_form(family),
-            sigma=None if row.sign is None else partial(_signed_sigma, row.sign, family),
+            sigma=None if row.sign is None else family.sigma if row.sign > 0 else -family.sigma,
         )
         for row in rows
-    ]
+    )

@@ -6,19 +6,19 @@ eigenvalue sequence theta_n, and its three-term recurrence
 x*p_n = a_n*p_{n+1} + b_n*p_n + c_n*p_{n-1}.  The recurrence is data: a_n,
 b_n and c_n are closed-form rational functions of n with integer
 coefficients (a ``Recurrence``), built once per family on first use, and
-``ttr(n)`` evaluates them without building any p_n.  The discrete families
-on a quadratic lattice (Hahn) and the Jacobi family also expose the r_j
-basis and the u_j sequences used by the second-kind lowering operators.
+``ttr(n)`` evaluates them without building any p_n.  Hahn and Jacobi also
+expose sigma_n, the r_j basis and the u_j sequences for second-kind operators.
 
 All parameters are exact rationals; degenerate parameter values raise
-DegeneracyError naming the factor that collapsed.
+DegeneracyError naming the factor that collapsed, a labelled pole of the
+RationalFunction where a recurrence coefficient divides by zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -77,18 +77,10 @@ class Family:
 
         Each is the family's rational function of n at this n; c_0 = 0."""
         rec = _recurrence(self)
-        try:
-            if n > 0:
-                return rec.a(n), rec.b(n), rec.c(n)
-            check_at_least("n", n, 0)
-            return rec.a(0), rec.b(0) if rec.b0 is None else rec.b0, Fraction(0)
-        except ZeroDivisionError:
-            for factor, label in rec.poles:
-                if factor(n) == 0:
-                    raise DegeneracyError(
-                        f"{type(self).__name__} recurrence degenerate at n={n}: {label} = 0"
-                    ) from None
-            raise
+        if n > 0:
+            return rec.a(n), rec.b(n), rec.c(n)
+        check_at_least("n", n, 0)
+        return rec.a(0), rec.b(0) if rec.b0 is None else rec.b0, Fraction(0)
 
     def name(self) -> str:
         return type(self).__name__.lower()
@@ -106,15 +98,12 @@ class Recurrence(NamedTuple):
     rational functions of n with integer coefficients.
 
     ``b0`` stands for b_0 where the formula for b_n is 0/0 at n = 0.  c_0 is
-    0 for every family: it multiplies p_{-1} = 0.  ``poles`` labels the
-    linear factors of the denominators, for the error raised where one
-    vanishes."""
+    0 for every family: it multiplies p_{-1} = 0."""
 
     a: RationalFunction
     b: RationalFunction
     c: RationalFunction
     b0: Optional[Fraction] = None
-    poles: tuple[tuple[Polynomial, str], ...] = ()
 
 
 @lru_cache(maxsize=None)
@@ -332,8 +321,9 @@ class Hahn(_LatticeFamily):
     def eigenvalue(self, n: int) -> Fraction:
         return (n + 1) * (n + self.alpha + self.c - self.N - 1)
 
-    def sigma(self, n: int) -> Fraction:
-        return 2 * n + self.alpha + self.c - self.N - 2
+    @cached_property
+    def sigma(self) -> RationalFunction:
+        return RationalFunction.of(Polynomial((self.alpha + self.c - self.N - 2, 2)))
 
     def second_order_op(self) -> DifferenceOperator:
         al, c, N = self.alpha, self.c, self.N
@@ -349,19 +339,17 @@ class Hahn(_LatticeFamily):
         def lin(k: int) -> Polynomial:  # 2n+s+k
             return n * 2 + (s + k)
 
+        def pole(k: int) -> tuple[Polynomial, str]:
+            label = f"2n+alpha+c-N{k:+d}" if k else "2n+alpha+c-N"
+            return lin(k), f"Hahn recurrence degenerate at n={{n}}: {label} = 0"
+
         c_num = n * (N - n) * (n + (s - 1)) * (n + (al - N)) * (n + (c - 1)) * (n + (al + c - 1))
         return Recurrence(
             RationalFunction.of(1),
-            RationalFunction.of(
-                n * (al - c + N - 1) * (n + s) + c * (N - 1) * (s - 1), lin(-1) * lin(1)
-            ),
-            RationalFunction.of(c_num, lin(-2) * lin(-1) ** 2 * lin(0)),
-            poles=(
-                (lin(-1), "2n+alpha+c-N-1"),
-                (lin(1), "2n+alpha+c-N+1"),
-                (lin(-2), "2n+alpha+c-N-2"),
-                (lin(0), "2n+alpha+c-N"),
-            ),
+            RationalFunction.of(n * (al - c + N - 1) * (n + s) + c * (N - 1) * (s - 1),
+                                lin(-1) * lin(1), [pole(-1), pole(1)]),
+            RationalFunction.of(c_num, lin(-2) * lin(-1) ** 2 * lin(0),
+                                [pole(-2), pole(-1), pole(0)]),
         )
 
     def r_basis(self, j: int) -> Polynomial:
@@ -463,8 +451,9 @@ class Jacobi(_CenteredFamily):
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (n + self.alpha + self.beta + 1)
 
-    def sigma(self, n: int) -> Fraction:
-        return 2 * n + self.alpha + self.beta - 1
+    @cached_property
+    def sigma(self) -> RationalFunction:
+        return RationalFunction.of(Polynomial((self.alpha + self.beta - 1, 2)))
 
     def second_order_op(self) -> DifferentialOperator:
         al, be = self.alpha, self.beta

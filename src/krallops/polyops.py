@@ -15,7 +15,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import check_at_least
+from .errors import DegeneracyError, check_at_least
 
 RatLike = Union[Fraction, int, str]
 
@@ -378,18 +378,21 @@ class RationalFunction(NamedTuple):
 
     Both are ascending integer coefficient tuples with no common content.
     At an integer n each is one integer Horner loop, and the quotient is
-    reduced to a Fraction once; a vanishing den(n) raises ZeroDivisionError.
+    reduced to a Fraction once.  ``poles`` labels factors of den, each with
+    its error text ("{n}" marks the index): where den(n) = 0, the first of
+    them that vanishes raises DegeneracyError, and with none of them
+    ZeroDivisionError is raised.
     """
 
     num: tuple[int, ...]
     den: tuple[int, ...]
+    poles: tuple[tuple[tuple[int, ...], str], ...] = ()
 
     @classmethod
-    def of(
-        cls, num: Union[Polynomial, RatLike], den: Union[Polynomial, RatLike] = 1
-    ) -> "RationalFunction":
+    def of(cls, num: Union[Polynomial, RatLike], den: Union[Polynomial, RatLike] = 1,
+           poles: Sequence[tuple[Polynomial, str]] = ()) -> "RationalFunction":
         """num / den for rational polynomials or constants, over one integer
-        denominator."""
+        denominator; ``poles`` pairs factors of den with their error texts."""
         num, den = _coerce_poly(num), _coerce_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
@@ -397,7 +400,8 @@ class RationalFunction(NamedTuple):
         # (a / da) / (b / db) = (a db) / (b da)
         top, bot = [c * db for c in a], [c * da for c in b]
         g = gcd(*top, *bot)
-        return cls(tuple([c // g for c in top]), tuple([c // g for c in bot]))
+        labelled = tuple([(factor._ints()[0], text) for factor, text in poles])
+        return cls(tuple([c // g for c in top]), tuple([c // g for c in bot]), labelled)
 
     def __call__(self, n: int) -> Fraction:
         top = bot = 0
@@ -405,7 +409,14 @@ class RationalFunction(NamedTuple):
             top = top * n + c
         for c in reversed(self.den):
             bot = bot * n + c
+        if bot == 0:
+            for factor, text in self.poles:
+                if _values_at(factor, [n])[0] == 0:
+                    raise DegeneracyError(text.format(n=n))
         return Fraction(top, bot)
+
+    def __neg__(self) -> "RationalFunction":
+        return self._replace(num=tuple([-c for c in self.num]))
 
 
 # -- combinatorial bases and scalars ------------------------------------------

@@ -417,3 +417,19 @@ def test_console_script_is_installed():
         group="console_scripts", name="krallops"
     ):
         assert installed.value == declared
+
+
+def test_import_builds_no_recurrence_or_catalog():
+    """Importing the CLI leaves the recurrence and catalog caches empty, so a
+    one-shot run builds only what its subcommand asks for."""
+    probe = (
+        "import krallops.cli; from krallops import dops, families; "
+        "assert families._recurrence.cache_info().currsize == 0; "
+        "assert dops._catalog.cache_info().currsize == 0"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(krallops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr

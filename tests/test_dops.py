@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from krallops import dops
 from krallops.dops import DOperator, catalog, series_apply, verify_dop
 from krallops.errors import DegeneracyError
 from krallops.families import Charlier, Hahn, Jacobi, Krawtchouk, Laguerre, Meixner
 from krallops.opalg import DifferenceOperator
-from krallops.polyops import Polynomial
+from krallops.polyops import Polynomial, RationalFunction
 
 F = Fraction
 
@@ -144,3 +147,35 @@ def test_hahn_catalog_sigma_signs():
         assert d2.sigma(n) == -fam.sigma(n)
         assert d3.sigma(n) == -fam.sigma(n)
         assert d4.sigma(n) == fam.sigma(n)
+
+
+def test_doperators_compare_by_value():
+    fam = Hahn(F(1, 3), F(7, 2), F(6, 5))
+    d = catalog(fam)
+    dops._catalog.cache_clear()
+    again = catalog(Hahn(F(1, 3), F(7, 2), F(6, 5)))
+    assert again[0] is not d[0]
+    assert again == d and [hash(x) for x in again] == [hash(x) for x in d]
+    # Same kind, family and label, but another operator's sequences or closed form.
+    assert replace(d[0], closed_form=d[1].closed_form, eps=d[1].eps, sigma=d[1].sigma) != d[0]
+    for name in ("eps", "sigma", "closed_form"):
+        assert replace(d[0], **{name: getattr(d[1], name)}) != d[0], name
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=str)
+def test_catalog_rows_are_picklable_data(fam):
+    for dop in catalog(fam):
+        assert isinstance(dop.eps, RationalFunction)
+        assert dop.sigma is None or isinstance(dop.sigma, RationalFunction)
+        copy = pickle.loads(pickle.dumps(dop))
+        assert copy == dop and copy is not dop
+        assert [copy.eps(n) for n in range(8)] == [dop.eps(n) for n in range(8)]
+        assert verify_dop(copy, 6).ok
+
+
+def test_catalog_degeneracy_survives_pickling():
+    fam = Jacobi(F(1, 2), F(-1, 2))  # alpha + beta = 0
+    copy = pickle.loads(pickle.dumps(catalog(fam)[1]))
+    with pytest.raises(DegeneracyError) as info:
+        copy.eps(0)
+    assert str(info.value) == "Jacobi lowering sequence degenerate: n+alpha+beta = 0 at n=0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -614,3 +615,27 @@ def test_constructions_compare_by_value(kind, params, k):
     assert negated_frame(negated_frame(kc)) == kc
     assert negated_frame(kc) != kc
     assert dataclasses.replace(kc, nmax=4) != kc
+
+
+# The operator construction of each named kind.
+OPERATOR_KINDS = [
+    ("charlier", {"a": F(2, 3)}, 2),
+    ("meixner1", {"a": F(-1, 7), "c": F(9, 2)}, 2),
+    ("meixner2", {"a": F(-2, 7), "c": F(11, 2)}, 1),
+    ("krawtchouk", {"a": F(-1, 5), "N": F(3, 2)}, 2),
+    ("hahn1", {"alpha": F(7, 3), "c": F(5, 2), "N": F(1, 3)}, 1),
+    ("hahn2", {"alpha": F(7, 3), "c": F(5, 2), "N": F(1, 3)}, 2),
+    ("laguerre", {"alpha": 2, "mass": 1}, 0),
+    ("jacobi", {"alpha": F(1, 2), "beta": 2, "mass": 1}, 0),
+]
+
+
+@pytest.mark.parametrize("kind, params, k", OPERATOR_KINDS, ids=[r[0] for r in OPERATOR_KINDS])
+def test_named_operator_construction_pickles(kind, params, k):
+    kc = named(kind, params, k, nmax=6).construction
+    assert kc.operator is not None
+    want = construction_to_json(kc)
+    copy = pickle.loads(pickle.dumps(kc))
+    assert copy == kc
+    assert verify_eigen(copy).ok
+    assert construction_to_json(copy) == want
