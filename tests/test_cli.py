@@ -24,6 +24,14 @@ from krallops.opalg import operator_from_json
 F = Fraction
 
 
+def _package_env() -> dict:
+    """The environment with this source tree's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    package_root = str(Path(krallops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_json(capsys, argv):
     code = cli.main(argv)
     doc = json.loads(capsys.readouterr().out)
@@ -171,11 +179,8 @@ def test_profile_flag_writes_only_to_stderr(capsys):
         f"main({argv!r}); assert 'cProfile' not in sys.modules; "
         f"main({['--profile', *argv]!r}); assert 'cProfile' in sys.modules"
     )
-    env = dict(os.environ)
-    package_root = str(Path(krallops.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_package_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -399,16 +404,11 @@ def test_console_script_is_installed():
     )
     assert callable(entry.load())
 
-    package_root = str(Path(krallops.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
     wrapper = (
         f"import sys; from {entry.module} import {entry.attr}; "
         f"sys.exit({entry.attr}())"
     )
-    _assert_console_run_passes([sys.executable, "-c", wrapper], env=env)
+    _assert_console_run_passes([sys.executable, "-c", wrapper], env=_package_env())
 
     exe = shutil.which("krallops")
     if exe is not None:
@@ -427,9 +427,6 @@ def test_import_builds_no_recurrence_or_catalog():
         "assert families._recurrence.cache_info().currsize == 0; "
         "assert dops._catalog.cache_info().currsize == 0"
     )
-    env = dict(os.environ)
-    package_root = str(Path(krallops.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_package_env())
     assert proc.returncode == 0, proc.stderr
