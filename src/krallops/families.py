@@ -1,17 +1,16 @@
 """Classical discrete and continuous orthogonal polynomial families.
 
-Each family knows its polynomials as a terminating hypergeometric sum in
-Newton form (terms and nodes), its second-order eigenoperator, its
-eigenvalue sequence theta_n, and its three-term recurrence
-x*p_n = a_n*p_{n+1} + b_n*p_n + c_n*p_{n-1}.  The recurrence is data: a_n,
-b_n and c_n are closed-form rational functions of n with integer
-coefficients (a ``Recurrence``), built once per family on first use, and
-``ttr(n)`` evaluates them without building any p_n.  Hahn and Jacobi also
-expose sigma_n, the r_j basis and the u_j sequences for second-kind operators.
+Each family knows its second-order eigenoperator, its eigenvalue sequence
+theta_n, and its three-term recurrence x*p_n = a_n*p_{n+1} + b_n*p_n +
+c_n*p_{n-1} as data: a ``Recurrence`` of closed-form rational functions of n
+with integer coefficients, built once per family on first use.  p_n comes
+from it: ``polynomial(n)`` extends the family's cached run p_0, p_1, ... to
+p_n.  Hahn and Jacobi also expose sigma_n, the r_j basis and the u_j
+sequences for second-kind operators.
 
-All parameters are exact rationals; degenerate parameter values raise
-DegeneracyError naming the factor that collapsed, a labelled pole of the
-RationalFunction where a recurrence coefficient divides by zero.
+All parameters are exact rationals.  A constructor raises DegeneracyError,
+naming the factor that collapsed, on degenerate parameters; on the others,
+every a_n is nonzero and no recurrence coefficient divides by zero.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import NamedTuple, Optional
+from math import lcm
+from typing import NamedTuple
 
 from .errors import DegeneracyError, check_at_least
 from .opalg import DifferenceOperator, DifferentialOperator, Operator
@@ -29,11 +29,11 @@ from .polyops import (
     RationalFunction,
     RatLike,
     _expand_graded,
+    _from_ints,
     _running,
     as_fraction,
     fraction_to_str,
     pochhammer,
-    rising_prefix,
     rising_suffix,
 )
 
@@ -44,20 +44,12 @@ class Family:
     kind: str  # "difference" or "differential"
 
     def polynomial(self, n: int) -> Polynomial:
+        """p_n, from the family's cached run p_0, p_1, ..., extended as needed."""
         check_at_least("n", n, 0)
-        return _classical_poly(self, n)
-
-    def _build_poly(self, n: int) -> Polynomial:
-        """p_n = sum_j t_j(n) prod_{i<j} (x - x_i) on the family's Newton nodes."""
-        raise NotImplementedError
-
-    def _scalars(self, n: int) -> list[Fraction]:
-        """The Newton coefficients t_0(n)..t_n(n) of p_n.
-
-        Each family forms them from running products (rising factorials,
-        factorials and powers) in O(n) integer products, with one reduction
-        to a Fraction per coefficient."""
-        raise NotImplementedError
+        run = _run(self)
+        if n >= len(run):
+            _extend(run, _recurrence(self), n)
+        return run[n]
 
     def eigenvalue(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -66,49 +58,84 @@ class Family:
         raise NotImplementedError
 
     def _build_recurrence(self) -> Recurrence:
-        """The closed-form recurrence for this normalisation of p_n (a_n is
-        the ratio of leading coefficients); cross-checked against Koekoek,
-        Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials and Their
-        q-Analogues (Springer 2010), ch. 9."""
+        """The closed-form recurrence for this normalisation of p_n (p_0 = 1,
+        and a_n is the ratio of leading coefficients); cross-checked against
+        Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials and
+        Their q-Analogues (Springer 2010), ch. 9."""
         raise NotImplementedError
 
     def ttr(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
         """Coefficients (a_n, b_n, c_n) of x*p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}.
 
         Each is the family's rational function of n at this n; c_0 = 0."""
-        rec = _recurrence(self)
-        if n > 0:
-            return rec.a(n), rec.b(n), rec.c(n)
         check_at_least("n", n, 0)
-        return rec.a(0), rec.b(0) if rec.b0 is None else rec.b0, Fraction(0)
+        return _recurrence(self).at(n)
 
     def name(self) -> str:
         return type(self).__name__.lower()
 
 
-# lru_cache is safe for concurrent readers, which covers the memo-table
-# requirement without hand-rolled locking.
-@lru_cache(maxsize=None)
-def _classical_poly(fam: Family, n: int) -> Polynomial:
-    return fam._build_poly(n)
-
-
 class Recurrence(NamedTuple):
     """x*p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1} as data: a_n, b_n and c_n are
-    rational functions of n with integer coefficients.
-
-    ``b0`` stands for b_0 where the formula for b_n is 0/0 at n = 0.  c_0 is
-    0 for every family: it multiplies p_{-1} = 0."""
+    rational functions of n with integer coefficients, and ``start`` holds
+    (a_n, b_n, c_n) for n < len(start): c_0 = 0, which multiplies p_{-1} = 0,
+    and the cancelled forms where a formula is 0/0 at admissible parameters."""
 
     a: RationalFunction
     b: RationalFunction
     c: RationalFunction
-    b0: Optional[Fraction] = None
+    start: tuple[tuple[Fraction, Fraction, Fraction], ...]
+
+    @classmethod
+    def of(cls, a: RationalFunction, b: RationalFunction, c: RationalFunction,
+           **cancelled: Fraction) -> Recurrence:
+        """Keywords such as ``b0`` or ``c1`` give b_0 or c_1 where the formula is 0/0."""
+        fixed = {"c0": Fraction(0), **cancelled}
+        start = tuple([
+            tuple([fixed[key] if (key := f"{name}{n}") in fixed else f(n)
+                   for name, f in (("a", a), ("b", b), ("c", c))])
+            for n in range(1 + max([int(key[1:]) for key in fixed]))
+        ])
+        return cls(a, b, c, start)
+
+    def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
+        if n < len(self.start):
+            return self.start[n]
+        return self.a(n), self.b(n), self.c(n)
 
 
 @lru_cache(maxsize=None)
 def _recurrence(fam: Family) -> Recurrence:
     return fam._build_recurrence()
+
+
+# Module-level, so that clearing the program's functools caches empties it.
+@lru_cache(maxsize=None)
+def _run(fam: Family) -> dict[int, Polynomial]:
+    """p_0, p_1, ... of the family as far as built, keyed by degree."""
+    return {0: Polynomial.one()}
+
+
+def _extend(run: dict[int, Polynomial], rec: Recurrence, n: int) -> None:
+    """Store p_{m+1} = ((x - b_m) p_m - c_m p_{m-1}) / a_m for m = len(run)-1..n-1,
+    on the integer numerators of p_m = P / dp and p_{m-1} = Q / dq.
+
+    The keys of ``run`` stay 0..len(run)-1, as p_{m+1} is stored only after
+    p_m; setdefault is atomic, so concurrent callers keep the first p_{m+1}."""
+    m = len(run) - 1
+    (P, dp), (Q, dq) = run[m]._ints(), run[m - 1]._ints() if m else ((), 1)
+    while m < n:
+        a, b, c = rec.at(m)
+        left, right = b.denominator * dp, c.denominator * dq
+        den = lcm(left, right)
+        sign = a.denominator if a.numerator > 0 else -a.denominator
+        u, v = sign * (den // left), sign * (den // right) * c.numerator
+        hi, lo = u * b.denominator, u * b.numerator
+        out = [hi * x - lo * y for x, y in zip([0, *P], [*P, 0])]
+        for i, z in enumerate(Q):
+            out[i] -= v * z
+        p = run.setdefault(m + 1, _from_ints(out, den * abs(a.numerator)))
+        (P, dp), (Q, dq), m = p._ints(), (P, dp), m + 1
 
 
 def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
@@ -123,7 +150,7 @@ def eigen_solve_poly(fam: Family, n: int) -> Polynomial:
 
     The second-order operator is triangular on monomials with diagonal
     theta_m, so back-substitution from the leading coefficient (matched to
-    the explicit-sum generator) pins the polynomial uniquely.
+    the recurrence generator) pins the polynomial uniquely.
     """
     op = fam.second_order_op()
     cols = [op.apply(Polynomial.monomial(m)) for m in range(n + 1)]
@@ -147,16 +174,7 @@ def eigen_solve_poly(fam: Family, n: int) -> Polynomial:
 
 
 class _LatticeFamily(Family):
-    """A family whose Newton nodes are the lattice 0, 1, 2, ..."""
-
     kind = "difference"
-
-    def _build_poly(self, n: int) -> Polynomial:
-        return Polynomial.from_newton(self._scalars(n), self._nodes(n))
-
-    def _nodes(self, n: int):
-        """The Newton nodes x_0..x_{n-1} = 0..n-1."""
-        return range(n)
 
 
 @dataclass(frozen=True)
@@ -167,13 +185,6 @@ class Charlier(_LatticeFamily):
         object.__setattr__(self, "a", as_fraction(self.a))
         if self.a == 0:
             raise DegeneracyError("Charlier requires a != 0")
-
-    def _scalars(self, n: int) -> list[Fraction]:
-        # t_j = (-a)^(n-j) / (j! (n-j)!)
-        fact = _factorials(n)
-        top = _powers(-self.a.numerator, n)
-        bot = _powers(self.a.denominator, n)
-        return [Fraction(top[n - j], bot[n - j] * fact[j] * fact[n - j]) for j in range(n + 1)]
 
     def eigenvalue(self, n: int) -> Fraction:
         return Fraction(-n)
@@ -186,8 +197,8 @@ class Charlier(_LatticeFamily):
 
     def _build_recurrence(self) -> Recurrence:
         n, a = Polynomial.x(), self.a
-        return Recurrence(RationalFunction.of(n + 1), RationalFunction.of(n + a),
-                          RationalFunction.of(a))
+        return Recurrence.of(RationalFunction.of(n + 1), RationalFunction.of(n + a),
+                             RationalFunction.of(a))
 
 
 @dataclass(frozen=True)
@@ -200,22 +211,6 @@ class Meixner(_LatticeFamily):
         object.__setattr__(self, "c", as_fraction(self.c))
         if self.a in (0, 1):
             raise DegeneracyError("Meixner requires a not in {0, 1}")
-
-    def _scalars(self, n: int) -> list[Fraction]:
-        """The terms of p_n = (c)_n / n! * 2F1(-n, -x; c; 1 - 1/a), which equals
-        the generating-function sum (-1)^n sum_j binom(x, j) binom(-x-c, n-j) a^-j,
-        with (c)_n / (c)_j = (c+j)_{n-j}, (-x)_j = (-1)^j x(x-1)...(x-j+1) and
-        (-n)_j / n! = (-1)^j / (n-j)!:  t_j = (c+j)_{n-j} (1 - 1/a)^j / (j! (n-j)!)."""
-        rise, q = rising_suffix(self.c, n)
-        r = 1 - 1 / self.a
-        fact = _factorials(n)
-        top = _powers(r.numerator, n)
-        bot = _powers(r.denominator, n)
-        qs = _powers(q, n)
-        return [
-            Fraction(rise[j] * top[j], qs[n - j] * bot[j] * fact[j] * fact[n - j])
-            for j in range(n + 1)
-        ]
 
     def eigenvalue(self, n: int) -> Fraction:
         return n * (self.a - 1)
@@ -232,7 +227,7 @@ class Meixner(_LatticeFamily):
 
     def _build_recurrence(self) -> Recurrence:
         n, a, c = Polynomial.x(), self.a, self.c
-        return Recurrence(
+        return Recurrence.of(
             RationalFunction.of((n + 1) * a, a - 1),
             RationalFunction.of(-(n * (1 + a) + a * c), a - 1),
             RationalFunction.of(n + (c - 1), a - 1),
@@ -250,19 +245,6 @@ class Krawtchouk(_LatticeFamily):
         if self.a == 0 or self.a == -1:
             raise DegeneracyError("Krawtchouk requires a not in {0, -1}")
 
-    def _scalars(self, n: int) -> list[Fraction]:
-        # t_j = (-1)^n (a/(1+a))^(n-j) (-n)_j (N-n)_{n-j} / (j! n!), from
-        # (-1)^(n+j) (-x)_j = (-1)^n x(x-1)...(x-j+1); with m = n - j and
-        # (-n)_j / n! = (-1)^j / m!, t_j = (-a/(1+a))^m (N-n)_m / (j! m!).
-        rise, q = rising_prefix(self.N - n, n)
-        r = -self.a / (1 + self.a)
-        fact = _factorials(n)
-        top = _powers(r.numerator, n)
-        bot = _powers(r.denominator * q, n)
-        return [
-            Fraction(top[m] * rise[m], bot[m] * fact[n - m] * fact[m]) for m in range(n, -1, -1)
-        ]
-
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (1 + self.a)
 
@@ -279,7 +261,7 @@ class Krawtchouk(_LatticeFamily):
 
     def _build_recurrence(self) -> Recurrence:
         n, a, N = Polynomial.x(), self.a, self.N
-        return Recurrence(
+        return Recurrence.of(
             RationalFunction.of(n + 1),
             RationalFunction.of(n * (1 - a) + a * (N - 1), 1 + a),
             RationalFunction.of((N - n) * a, (1 + a) ** 2),
@@ -298,25 +280,7 @@ class Hahn(_LatticeFamily):
         object.__setattr__(self, "N", as_fraction(self.N))
         s = self.alpha + self.c - self.N
         if s.denominator == 1 and s <= -1:
-            raise DegeneracyError(
-                "Hahn requires alpha + c - N not in {-1, -2, ...};"
-                f" got {s}"
-            )
-
-    def _scalars(self, n: int) -> list[Fraction]:
-        # t_j = (-1)^j (-n)_j (1-N+j)_{n-j} (c+j)_{n-j} / ((n+alpha+c-N+j)_{n-j} j!),
-        # from (-x)_j = (-1)^j x(x-1)...(x-j+1); (-1)^j (-n)_j / j! = binom(n, j).
-        al, c, N = self.alpha, self.c, self.N
-        denom, q = rising_suffix(n + al + c - N, n)
-        for j, d in enumerate(denom):
-            if d == 0:
-                raise DegeneracyError(
-                    f"Hahn degree-{n} polynomial undefined:"
-                    f" (n+alpha+c-N+{j})_{n - j} = 0"
-                )
-        nums, dens = binomial_rising_terms(n, 1 - N, c)
-        qs = _powers(q, n)
-        return [Fraction(nums[j] * qs[n - j], dens[j] * denom[j]) for j in range(n + 1)]
+            raise DegeneracyError(f"Hahn requires alpha + c - N not in {{-1, -2, ...}}; got {s}")
 
     def eigenvalue(self, n: int) -> Fraction:
         return (n + 1) * (n + self.alpha + self.c - self.N - 1)
@@ -339,17 +303,15 @@ class Hahn(_LatticeFamily):
         def lin(k: int) -> Polynomial:  # 2n+s+k
             return n * 2 + (s + k)
 
-        def pole(k: int) -> tuple[Polynomial, str]:
-            label = f"2n+alpha+c-N{k:+d}" if k else "2n+alpha+c-N"
-            return lin(k), f"Hahn recurrence degenerate at n={{n}}: {label} = 0"
-
+        # b_0 and c_1 are 0/0 at s = 1 and s = 0; cancelling gives them for every s.
         c_num = n * (N - n) * (n + (s - 1)) * (n + (al - N)) * (n + (c - 1)) * (n + (al + c - 1))
-        return Recurrence(
+        return Recurrence.of(
             RationalFunction.of(1),
             RationalFunction.of(n * (al - c + N - 1) * (n + s) + c * (N - 1) * (s - 1),
-                                lin(-1) * lin(1), [pole(-1), pole(1)]),
-            RationalFunction.of(c_num, lin(-2) * lin(-1) ** 2 * lin(0),
-                                [pole(-2), pole(-1), pole(0)]),
+                                lin(-1) * lin(1)),
+            RationalFunction.of(c_num, lin(-2) * lin(-1) ** 2 * lin(0)),
+            b0=c * (N - 1) / (s + 1),
+            c1=(N - 1) * (1 + al - N) * c * (al + c) / ((s + 1) ** 2 * (s + 2)),
         )
 
     def r_basis(self, j: int) -> Polynomial:
@@ -363,36 +325,16 @@ class Hahn(_LatticeFamily):
 # -- continuous families ---------------------------------------------------------
 
 
-class _CenteredFamily(Family):
-    """A family whose Newton nodes all equal one center c.
-
-    Then p_n(x) = T(x - c) for T = sum_j t_j x^j: one integer Taylor shift
-    of the scalars, and none when c = 0."""
-
+class _ContinuousFamily(Family):
     kind = "differential"
-    _center: int
-
-    def _build_poly(self, n: int) -> Polynomial:
-        return Polynomial(self._scalars(n)).shift_arg(-self._center)
 
 
 @dataclass(frozen=True)
-class Laguerre(_CenteredFamily):
+class Laguerre(_ContinuousFamily):
     alpha: Fraction
-
-    _center = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
-
-    def _scalars(self, n: int) -> list[Fraction]:
-        # t_j = (-1)^j / j! * binom(n+alpha, n-j) = (-1)^j (alpha+1+j)_{n-j} / (j! (n-j)!)
-        rise, q = rising_suffix(self.alpha + 1, n)
-        fact = _factorials(n)
-        qs = _powers(q, n)
-        return [
-            Fraction((-1) ** j * rise[j], qs[n - j] * fact[j] * fact[n - j]) for j in range(n + 1)
-        ]
 
     def eigenvalue(self, n: int) -> Fraction:
         return Fraction(-n)
@@ -404,7 +346,7 @@ class Laguerre(_CenteredFamily):
 
     def _build_recurrence(self) -> Recurrence:
         n, al = Polynomial.x(), self.alpha
-        return Recurrence(
+        return Recurrence.of(
             RationalFunction.of(-(n + 1)),
             RationalFunction.of(n * 2 + (al + 1)),
             RationalFunction.of(-(n + al)),
@@ -412,11 +354,9 @@ class Laguerre(_CenteredFamily):
 
 
 @dataclass(frozen=True)
-class Jacobi(_CenteredFamily):
+class Jacobi(_ContinuousFamily):
     alpha: Fraction
     beta: Fraction
-
-    _center = 1
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -430,23 +370,6 @@ class Jacobi(_CenteredFamily):
                 raise DegeneracyError(
                     f"Jacobi requires {label} not in {{-1, -2, ...}}; got {value}"
                 )
-
-    def _scalars(self, n: int) -> list[Fraction]:
-        """The terms of p_n = (alpha+1)_n / n! * 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2),
-        which equals 2^-n sum_j binom(n+alpha, j) binom(n+beta, n-j) (x-1)^(n-j) (x+1)^j,
-        with (alpha+1)_n / (alpha+1)_j = (alpha+1+j)_{n-j}, ((1-x)/2)^j = (-1/2)^j (x-1)^j
-        and (-n)_j / n! = (-1)^j / (n-j)!:
-        t_j = (alpha+1+j)_{n-j} (n+alpha+beta+1)_j / (2^j j! (n-j)!)."""
-        al, be = self.alpha, self.beta
-        rise, q = rising_suffix(al + 1, n)
-        low, r = rising_prefix(n + al + be + 1, n)
-        fact = _factorials(n)
-        qs = _powers(q, n)
-        rs = _powers(2 * r, n)
-        return [
-            Fraction(rise[j] * low[j], qs[n - j] * rs[j] * fact[j] * fact[n - j])
-            for j in range(n + 1)
-        ]
 
     def eigenvalue(self, n: int) -> Fraction:
         return -n * (n + self.alpha + self.beta + 1)
@@ -473,7 +396,7 @@ class Jacobi(_CenteredFamily):
             return n * 2 + (s + k)
 
         # b_n is 0/0 at n = 0 when s = 0; cancelling s gives b_0 for every s.
-        return Recurrence(
+        return Recurrence.of(
             RationalFunction.of((n + 1) * (n + (s + 1)) * 2, lin(1) * lin(2)),
             RationalFunction.of(be * be - al * al, lin(0) * lin(2)),
             RationalFunction.of((n + al) * (n + be) * 2, lin(0) * lin(1)),
@@ -490,16 +413,6 @@ class Jacobi(_CenteredFamily):
         return pochhammer(n + self.alpha, j) * pochhammer(n + self.beta - j, j)
 
 
-def _factorials(n: int) -> list[int]:
-    """[0!, 1!, ..., n!] as a running product."""
-    return _running(range(1, n + 1))
-
-
-def _powers(base: int, n: int) -> list[int]:
-    """[1, base, ..., base^n] as a running product."""
-    return _running(repeat(base, n))
-
-
 def binomial_rising_terms(k: int, u: RatLike, v: RatLike) -> tuple[list[int], list[int]]:
     """binom(k, j) (u+j)_{k-j} (v+j)_{k-j} = nums[j] / dens[j] for j = 0..k.
 
@@ -507,8 +420,8 @@ def binomial_rising_terms(k: int, u: RatLike, v: RatLike) -> tuple[list[int], li
     so a vanishing rising factor gives an exact zero term."""
     rise_u, qu = rising_suffix(u, k)
     rise_v, qv = rising_suffix(v, k)
-    fact = _factorials(k)
-    qs = _powers(qu * qv, k)
+    fact = _running(range(1, k + 1))
+    qs = _running(repeat(qu * qv, k))
     nums = [fact[k] * rise_u[j] * rise_v[j] for j in range(k + 1)]
     dens = [fact[j] * fact[k - j] * qs[k - j] for j in range(k + 1)]
     return nums, dens

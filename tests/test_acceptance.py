@@ -13,6 +13,8 @@ import time
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from krallops.dops import catalog, verify_dop
 from krallops.errors import HypothesisError
 from krallops.families import (
@@ -44,9 +46,14 @@ from krallops.moments import (
 from krallops.polyops import Polynomial, pochhammer
 
 F = Fraction
-_T0 = time.monotonic()
 
 HAHN_TRIPLE = {"alpha": F(7, 3), "c": F(5, 2), "N": F(1, 3)}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def module_start() -> float:
+    """The time this module's first test starts, whichever modules ran before."""
+    return time.monotonic()
 
 
 def _report(num: int, ok: bool, what: str) -> None:
@@ -335,7 +342,7 @@ def test_criterion_09_banded_recurrences_and_bilinear_form():
                    f" k <= 2, n <= 10 ({elapsed:.2f}s)")
 
 
-def test_criterion_10_exactness_and_wall_clock():
+def test_criterion_10_exactness_and_wall_clock(module_start):
     # Everything upstream flows through Fraction; spot-check the types at
     # the API seams, then bound this module's own wall clock.
     kc = named("charlier", {"a": F(1)}, 2, nmax=6)
@@ -343,7 +350,7 @@ def test_criterion_10_exactness_and_wall_clock():
     assert isinstance(kc.construction.eigval(3), Fraction)
     assert all(isinstance(c, Fraction) for c in kc.construction.q(4).coeffs)
     assert isinstance(pairing(kc.functional, kc.construction.q(2)), Fraction)
-    elapsed = time.monotonic() - _T0
+    elapsed = time.monotonic() - module_start
     ok = elapsed < 60
     _report(10, ok, f"exact rational arithmetic end to end; acceptance module"
                     f" wall clock {elapsed:.2f}s < 60s")

@@ -126,6 +126,16 @@ def test_hypothesis_violation_exits_three(capsys):
     assert "hypothesis violated" in capsys.readouterr().err
 
 
+def test_hahn1_passes_where_its_family_recurrence_has_a_removable_point(capsys):
+    # Every hypothesis holds; the orthogonality check runs the recurrence
+    # through a point where a formula is 0/0, which formerly exited 3.
+    argv = ["krall", "--theorem", "hahn1", "--alpha", "5/2", "--c", "17/6", "--N", "10/3",
+            "--k", "1", "--nmax", "6", "--ortho"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "eigen-identity n <= 6: pass" in out and "orthogonality q_0..q_6: pass" in out
+
+
 def test_usage_errors_exit_two(capsys):
     assert cli.main(["krall", "--theorem", "bogus", "--a", "1"]) == 2
     assert cli.main([]) == 2

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krallops import families
 from krallops.errors import DegeneracyError
 from krallops.families import (
     FAMILY_PARAM_FIELDS,
@@ -27,7 +32,8 @@ from krallops.families import (
     family_to_json,
     lattice_product,
 )
-from krallops.polyops import Polynomial, pochhammer
+from krallops.polyops import Polynomial, _expand_graded, pochhammer
+from newton_reference import ref_newton_poly, ref_scalars
 
 F = Fraction
 
@@ -63,13 +69,15 @@ def test_second_order_eigen_identity(fam):
 
 @pytest.mark.parametrize("fam", PARAM_SETS, ids=str)
 def test_three_term_recurrence(fam):
-    x = Polynomial.x()
+    # On the Newton-form reference: p_n itself comes from these coefficients.
+    x, ref = Polynomial.x(), partial(ref_newton_poly, fam)
     for n in range(9):
         a_n, b_n, c_n = fam.ttr(n)
-        rhs = fam.polynomial(n + 1) * a_n + fam.polynomial(n) * b_n
+        rhs = ref(n + 1) * a_n + ref(n) * b_n
         if n >= 1:
-            rhs = rhs + fam.polynomial(n - 1) * c_n
-        assert x * fam.polynomial(n) == rhs, n
+            rhs = rhs + ref(n - 1) * c_n
+        assert x * ref(n) == rhs, n
+        assert fam.polynomial(n) == ref(n), n
         assert a_n != 0
         if n >= 1:
             assert c_n != 0
@@ -87,35 +95,20 @@ def test_charlier_frozen_facts():
 
 
 def ttr_by_expansion(fam, n):
-    """Reference recurrence: expand x*p_n in the family basis p_0, p_1, ...."""
-    coeffs = expand_in_family_basis(fam, Polynomial.x() * fam.polynomial(n))
+    """Reference recurrence: expand x*p_n in the Newton-form reference basis."""
+    coeffs = _expand_graded(
+        Polynomial.x() * ref_newton_poly(fam, n), partial(ref_newton_poly, fam),
+        AssertionError(f"x*p_{n} left a remainder"),
+    )
     for m, c in enumerate(coeffs[: max(n - 1, 0)]):
         assert c == 0, f"x*p_{n} has a component on p_{m}"
     return (coeffs[n + 1], coeffs[n], coeffs[n - 1] if n >= 1 else F(0))
 
 
-def hahn_pole_message(fam, n):
-    """The error text of Hahn's recurrence where one of its labelled
-    denominator factors vanishes, or None."""
-    s = fam.alpha + fam.c - fam.N
-    labelled = [(2 * n + s - 1, "2n+alpha+c-N-1"), (2 * n + s + 1, "2n+alpha+c-N+1")]
-    if n >= 1:
-        labelled += [(2 * n + s - 2, "2n+alpha+c-N-2"), (2 * n + s, "2n+alpha+c-N")]
-    for factor, label in labelled:
-        if factor == 0:
-            return f"Hahn recurrence degenerate at n={n}: {label} = 0"
-    return None
-
-
 def assert_recurrence_matches_expansion(fam, top):
     for n in range(top + 1):
-        message = hahn_pole_message(fam, n) if isinstance(fam, Hahn) else None
-        if message is None:
-            assert fam.ttr(n) == ttr_by_expansion(fam, n), n
-        else:
-            with pytest.raises(DegeneracyError) as info:
-                fam.ttr(n)
-            assert str(info.value) == message
+        assert fam.ttr(n) == ttr_by_expansion(fam, n), n
+        assert fam.polynomial(n) == ref_newton_poly(fam, n), n
 
 
 def test_hahn_printed_recurrence_matches_expansion():
@@ -133,21 +126,23 @@ def test_recurrence_starts_with_c0_zero(fam):
 
 
 # Parameters for each family across its admissible domain, drawn so that the
-# special points come up: Krawtchouk at an integer N (c_N = 0), Jacobi at
-# alpha + beta = 0 (b_n is 0/0 at n = 0), Hahn at alpha + c - N = 0 or 1
-# (a labelled factor of a denominator vanishes at n = 1 or 0).
+# special points come up: Krawtchouk at an integer N <= 30 (c_N = 0), Meixner
+# at an integer c <= 0 and Laguerre at an integer alpha < 0 (Newton terms
+# vanish), Jacobi at alpha + beta = 0 (b_n is 0/0 at n = 0), Hahn at
+# alpha + c - N = 0, 1 or 2 (c_1 resp. b_0 is 0/0 at the first two).
 small_rationals = st.one_of(
     st.integers(-6, 6).map(F), st.fractions(min_value=-9, max_value=9, max_denominator=7)
 )
+nonpositive_integers = st.integers(-8, 0).map(F)
 FAMILY_PARAMS = {
     Charlier: st.tuples(small_rationals),
-    Meixner: st.tuples(small_rationals, small_rationals),
-    Krawtchouk: st.tuples(small_rationals, st.one_of(st.integers(0, 60).map(F), small_rationals)),
+    Meixner: st.tuples(small_rationals, nonpositive_integers | small_rationals),
+    Krawtchouk: st.tuples(small_rationals, st.one_of(st.integers(0, 30).map(F), small_rationals)),
     # drawn as (alpha, c, alpha + c - N)
     Hahn: st.tuples(
-        small_rationals, small_rationals, st.sampled_from([F(0), F(1)]) | small_rationals
+        small_rationals, small_rationals, st.sampled_from([F(0), F(1), F(2)]) | small_rationals
     ).map(lambda t: (t[0], t[1], t[0] + t[1] - t[2])),
-    Laguerre: st.tuples(small_rationals),
+    Laguerre: st.tuples(nonpositive_integers | small_rationals),
     # drawn as (alpha, alpha + beta)
     Jacobi: st.tuples(small_rationals, st.just(F(0)) | small_rationals)
     .map(lambda t: (t[0], t[1] - t[0])),
@@ -162,17 +157,18 @@ def test_closed_form_recurrence_matches_expansion(cls, data):
         fam = cls(*data.draw(FAMILY_PARAMS[cls]))
     except DegeneracyError:
         return
-    assert_recurrence_matches_expansion(fam, 60)
+    assert_recurrence_matches_expansion(fam, 30)
 
 
 @pytest.mark.parametrize(
     "fam",
     [Krawtchouk(F(2, 3), F(7)), Jacobi(F(1, 2), F(-1, 2)), Jacobi(F(0), F(0)),
-     Hahn(F(1), F(3), F(4)), Hahn(F(2), F(3), F(4))],
+     Hahn(F(1), F(3), F(4)), Hahn(F(2), F(3), F(4)), Hahn(F(5, 2), F(17, 6), F(10, 3)),
+     Meixner(F(3, 2), F(-4)), Laguerre(F(-3))],
     ids=str,
 )
 def test_closed_form_recurrence_at_its_special_points(fam):
-    assert_recurrence_matches_expansion(fam, 12)
+    assert_recurrence_matches_expansion(fam, 40)
 
 
 @pytest.mark.parametrize(
@@ -377,14 +373,11 @@ def test_family_rejects_degenerate_parameters():
         Jacobi(F(1, 2), F(-3, 2))  # alpha + beta = -1
 
 
-def test_hahn_lazy_recurrence_degeneracy():
-    fam = Hahn(F(1), F(3), F(4))  # alpha + c - N = 0 passes construction
-    fam.polynomial(3)  # defining sums are fine
-    with pytest.raises(DegeneracyError) as info:
-        fam.ttr(1)
-    assert str(info.value) == "Hahn recurrence degenerate at n=1: 2n+alpha+c-N-2 = 0"
-    a2, b2, c2 = fam.ttr(2)
-    assert a2 == 1 and c2 != 0
+def test_hahn_recurrence_passes_its_removable_points():
+    # alpha + c - N = 0 makes the formula for c_1 0/0, and = 1 that for b_0;
+    # the cancelled forms stand in.  Formerly ttr(1) raised at the first.
+    assert Hahn(F(1), F(3), F(4)).ttr(1) == (1, F(-8, 3), -36)
+    assert Hahn(F(2), F(3), F(4)).ttr(0) == (1, F(9, 2), 0)
 
 
 def test_family_name_round_trip():
@@ -419,7 +412,44 @@ def test_centered_families_are_one_taylor_shift_of_their_newton_form(cls, alpha,
         fam, center = (Laguerre(alpha), 0) if cls is Laguerre else (Jacobi(alpha, beta), 1)
     except DegeneracyError:
         return
-    scalars = fam._scalars(n)
+    scalars = ref_scalars(fam, n)
     got, want = fam.polynomial(n), Polynomial.from_newton(scalars, (center,) * n)
     assert got._ints() == want._ints()
 
+
+def test_cold_polynomial_beyond_the_recursion_limit():
+    # The run is extended in a loop: a recursive build would overflow here.
+    families._run.cache_clear()
+    fam, limit = Charlier(F(2, 5)), sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        top = fam.polynomial(400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert top.degree == 400 and top.lead == F(1, factorial(400))
+
+
+def test_concurrent_builds_of_one_fresh_family_agree():
+    fam, degrees = Meixner(F(-3, 5), F(7, 4)), range(151)
+    want = [fam.polynomial(n) for n in degrees]
+    families._run.cache_clear()
+    got, start = [None] * 4, threading.Barrier(4, timeout=60)
+
+    def build(i):
+        start.wait()
+        got[i] = {n: fam.polynomial(n) for n in random.Random(i).sample(degrees, len(degrees))}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for built in got:
+        assert [built[n] for n in degrees] == want
+    assert [fam.polynomial(n) for n in degrees] == want
