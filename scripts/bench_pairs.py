@@ -9,9 +9,11 @@ Run from the repository root, with two checkouts of committed files:
 
 For each ``workload:seed`` it runs ``perfbench/run.py --trace 0`` (run.py's
 own run length) in both checkouts ``PAIRS`` times, alternating which side
-runs first, and records every run's end-to-end metrics, each side's median
-and quartiles, the pairs the change wins, and how far the change's median is
-worse than the parent's against the bound in ``BENCHMARK.json``.  The big-n
+runs first, and records every run's end-to-end metrics and wall time (the
+untimed correctness gate included), each side's median and quartiles, its
+median ops attempted and wall time, the pairs the change wins, and how far
+the change's median is worse than the parent's against the bound in
+``BENCHMARK.json``.  The big-n
 rows time ``verify_eigen`` (uncalibrated CPU seconds, construction excluded,
 the q_n built inside) on fresh constructions in fresh interpreters,
 alternating sides, and record each result's ``ok``.  No perfbench workload
@@ -27,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 PAIRS = 10
@@ -63,12 +66,16 @@ def _last_json(text: str) -> dict:
 def run_workload(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
+    start = time.monotonic()
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    wall = time.monotonic() - start
     result = _last_json(done.stdout)
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
+        # the whole run: timed ops plus setup probes and the untimed correctness gate
+        "wall_s": wall,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -159,6 +166,9 @@ def main(argv=None) -> int:
         report["workloads"][spec] = {
             "all_correct": all(r["correct"] and not r["failed"] for s in runs for r in runs[s]),
             "runs": runs,
+            "median_attempted": {s: statistics.median(r["attempted"] for r in runs[s])
+                                 for s in runs},
+            "median_wall_s": {s: statistics.median(r["wall_s"] for r in runs[s]) for s in runs},
             "summary": compare(runs["parent"], runs["change"], metrics),
         }
         args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -41,7 +41,11 @@ from .polyops import (
 class Family:
     """Shared behavior; concrete families are frozen dataclasses below."""
 
-    kind: str  # "difference" or "differential"
+    kind: str  # "difference" or "differential", given in the class statement
+
+    def __init_subclass__(cls, kind: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind
 
     def polynomial(self, n: int) -> Polynomial:
         """p_n, from the family's cached run p_0, p_1, ..., extended as needed."""
@@ -88,14 +92,16 @@ class Recurrence(NamedTuple):
 
     @classmethod
     def of(cls, a: RationalFunction, b: RationalFunction, c: RationalFunction,
-           **cancelled: Fraction) -> Recurrence:
-        """Keywords such as ``b0`` or ``c1`` give b_0 or c_1 where the formula is 0/0."""
-        fixed = {"c0": Fraction(0), **cancelled}
+           cancelled: dict[tuple[str, int], Fraction] | None = None) -> Recurrence:
+        """``cancelled[name, n]`` is coefficient ``name`` (a, b or c) at n where it is 0/0."""
+        fixed = {("c", 0): Fraction(0), **(cancelled or {})}
         start = tuple([
-            tuple([fixed[key] if (key := f"{name}{n}") in fixed else f(n)
+            tuple([fixed.pop((name, n)) if (name, n) in fixed else f(n)
                    for name, f in (("a", a), ("b", b), ("c", c))])
-            for n in range(1 + max([int(key[1:]) for key in fixed]))
+            for n in range(1 + max([n for _, n in fixed]))
         ])
+        if fixed:
+            raise ValueError(f"cancelled keys must be ('a', 'b' or 'c', n >= 0); got {list(fixed)}")
         return cls(a, b, c, start)
 
     def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -173,12 +179,8 @@ def eigen_solve_poly(fam: Family, n: int) -> Polynomial:
 # -- discrete families ----------------------------------------------------------
 
 
-class _LatticeFamily(Family):
-    kind = "difference"
-
-
 @dataclass(frozen=True)
-class Charlier(_LatticeFamily):
+class Charlier(Family, kind="difference"):
     a: Fraction
 
     def __post_init__(self):
@@ -202,7 +204,7 @@ class Charlier(_LatticeFamily):
 
 
 @dataclass(frozen=True)
-class Meixner(_LatticeFamily):
+class Meixner(Family, kind="difference"):
     a: Fraction
     c: Fraction
 
@@ -235,7 +237,7 @@ class Meixner(_LatticeFamily):
 
 
 @dataclass(frozen=True)
-class Krawtchouk(_LatticeFamily):
+class Krawtchouk(Family, kind="difference"):
     a: Fraction
     N: Fraction
 
@@ -269,7 +271,7 @@ class Krawtchouk(_LatticeFamily):
 
 
 @dataclass(frozen=True)
-class Hahn(_LatticeFamily):
+class Hahn(Family, kind="difference"):
     alpha: Fraction
     c: Fraction
     N: Fraction
@@ -280,7 +282,10 @@ class Hahn(_LatticeFamily):
         object.__setattr__(self, "N", as_fraction(self.N))
         s = self.alpha + self.c - self.N
         if s.denominator == 1 and s <= -1:
-            raise DegeneracyError(f"Hahn requires alpha + c - N not in {{-1, -2, ...}}; got {s}")
+            raise DegeneracyError(
+                "Hahn requires alpha + c - N not in {-1, -2, ...};"
+                f" got {s}"
+            )
 
     def eigenvalue(self, n: int) -> Fraction:
         return (n + 1) * (n + self.alpha + self.c - self.N - 1)
@@ -310,8 +315,8 @@ class Hahn(_LatticeFamily):
             RationalFunction.of(n * (al - c + N - 1) * (n + s) + c * (N - 1) * (s - 1),
                                 lin(-1) * lin(1)),
             RationalFunction.of(c_num, lin(-2) * lin(-1) ** 2 * lin(0)),
-            b0=c * (N - 1) / (s + 1),
-            c1=(N - 1) * (1 + al - N) * c * (al + c) / ((s + 1) ** 2 * (s + 2)),
+            {("b", 0): c * (N - 1) / (s + 1),
+             ("c", 1): (N - 1) * (1 + al - N) * c * (al + c) / ((s + 1) ** 2 * (s + 2))},
         )
 
     def r_basis(self, j: int) -> Polynomial:
@@ -325,12 +330,8 @@ class Hahn(_LatticeFamily):
 # -- continuous families ---------------------------------------------------------
 
 
-class _ContinuousFamily(Family):
-    kind = "differential"
-
-
 @dataclass(frozen=True)
-class Laguerre(_ContinuousFamily):
+class Laguerre(Family, kind="differential"):
     alpha: Fraction
 
     def __post_init__(self):
@@ -354,7 +355,7 @@ class Laguerre(_ContinuousFamily):
 
 
 @dataclass(frozen=True)
-class Jacobi(_ContinuousFamily):
+class Jacobi(Family, kind="differential"):
     alpha: Fraction
     beta: Fraction
 
@@ -400,7 +401,7 @@ class Jacobi(_ContinuousFamily):
             RationalFunction.of((n + 1) * (n + (s + 1)) * 2, lin(1) * lin(2)),
             RationalFunction.of(be * be - al * al, lin(0) * lin(2)),
             RationalFunction.of((n + al) * (n + be) * 2, lin(0) * lin(1)),
-            b0=(be - al) / (s + 2),
+            {("b", 0): (be - al) / (s + 2)},
         )
 
     def r_basis(self, j: int) -> Polynomial:

@@ -4,7 +4,10 @@
 the explicit hypergeometric sums it replaced: p_n = sum_j t_j(n) prod_{i<j}
 (x - x_i), with each term t_j(n) the former per-family ``_term`` on
 ``Fraction`` arithmetic, and the nodes x_i = i on the lattice families, 0 for
-Laguerre and 1 for Jacobi.
+Laguerre and 1 for Jacobi.  ``ref_term`` computes one term from scratch;
+``ref_scalars`` gives all n + 1 terms of the same formulas with each rising
+factorial carried from j to j + 1, O(n) products instead of O(n^2), and is
+checked against ``ref_term``.
 """
 
 from __future__ import annotations
@@ -70,8 +73,56 @@ def ref_term(fam, n: int, j: int) -> Fraction:
     return top * Fraction(-1, 2) ** j / (factorial(j) * factorial(n))
 
 
+def _prefixes(start, n: int) -> list[Fraction]:
+    """(start)_j for j = 0..n."""
+    out = [Fraction(1)]
+    for i in range(n):
+        out.append(out[-1] * (start + i))
+    return out
+
+
+def _suffixes(start, n: int) -> list[Fraction]:
+    """(start+j)_{n-j} for j = 0..n."""
+    out = [Fraction(1)]
+    for j in range(n - 1, -1, -1):
+        out.append(out[-1] * (start + j))
+    return out[::-1]
+
+
 def ref_scalars(fam, n: int) -> list[Fraction]:
-    return [ref_term(fam, n, j) for j in range(n + 1)]
+    """[ref_term(fam, n, j) for j = 0..n], the rising factorials carried in j."""
+    fact = [Fraction(factorial(j)) for j in range(n + 1)]
+    lower = _prefixes(-n, n)  # (-n)_j
+    if isinstance(fam, Charlier):
+        # binom(n, j) / n! = 1 / (j! (n - j)!)
+        return [(-fam.a) ** (n - j) / (fact[j] * fact[n - j]) for j in range(n + 1)]
+    if isinstance(fam, Meixner):
+        rise, q = _suffixes(fam.c, n), 1 / fam.a - 1
+        return [rise[j] * lower[j] * q ** j / (fact[j] * fact[n]) for j in range(n + 1)]
+    if isinstance(fam, Krawtchouk):
+        a, rise = fam.a, _prefixes(fam.N - n, n)
+        return [(-1) ** n * (a / (1 + a)) ** (n - j) * lower[j] * rise[n - j]
+                / (fact[j] * fact[n]) for j in range(n + 1)]
+    if isinstance(fam, Hahn):
+        al, c, N = fam.alpha, fam.c, fam.N
+        denom = _suffixes(n + al + c - N, n)
+        if 0 in denom:
+            j = denom.index(0)
+            raise DegeneracyError(
+                f"Hahn degree-{n} polynomial undefined:"
+                f" (n+alpha+c-N+{j})_{n - j} = 0"
+            )
+        top, rise = _suffixes(1 - N, n), _suffixes(c, n)
+        return [(-1) ** j * lower[j] * top[j] * rise[j] / (denom[j] * fact[j])
+                for j in range(n + 1)]
+    if isinstance(fam, Laguerre):
+        # binom(n + alpha, n - j) = (alpha + 1 + j)_{n-j} / (n - j)!
+        rise = _suffixes(fam.alpha + 1, n)
+        return [(-1) ** j * rise[j] / (fact[j] * fact[n - j]) for j in range(n + 1)]
+    al, be = fam.alpha, fam.beta
+    rise, upper = _suffixes(al + 1, n), _prefixes(n + al + be + 1, n)
+    return [rise[j] * lower[j] * upper[j] * Fraction(-1, 2) ** j / (fact[j] * fact[n])
+            for j in range(n + 1)]
 
 
 def ref_nodes(fam, n: int) -> list[int]:

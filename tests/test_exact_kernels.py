@@ -132,7 +132,13 @@ from krallops.polyops import (
     fraction_to_str,
     pochhammer,
 )
-from newton_reference import ref_binom_scalar, ref_newton_poly, ref_pochhammer, ref_scalars
+from newton_reference import (
+    ref_binom_scalar,
+    ref_newton_poly,
+    ref_pochhammer,
+    ref_scalars,
+    ref_term,
+)
 
 # -- references ------------------------------------------------------------------
 
@@ -818,7 +824,9 @@ def test_family_scalars_match_terms_where_factors_vanish(fam):
     the degrees are asked for out of order, so the run grows in pieces."""
     vanished = 0
     for n in random.Random(0).sample(range(41), 41):
-        vanished += 0 in ref_scalars(fam, n)
+        scalars = ref_scalars(fam, n)
+        assert scalars == [ref_term(fam, n, j) for j in range(n + 1)], n
+        vanished += 0 in scalars
         assert fam.polynomial(n) == ref_newton_poly(fam, n), n
     assert vanished
 
@@ -827,6 +835,7 @@ def test_family_scalars_match_terms_where_factors_vanish(fam):
 @settings(max_examples=300, deadline=None)
 def test_family_scalars_match_terms_on_random_parameters(fam_n):
     fam, n = fam_n
+    assert ref_scalars(fam, n) == [ref_term(fam, n, j) for j in range(n + 1)]
     assert fam.polynomial(n) == ref_newton_poly(fam, n)
 
 

@@ -23,6 +23,7 @@ from krallops.families import (
     Krawtchouk,
     Laguerre,
     Meixner,
+    Recurrence,
     dual_hahn_poly,
     dual_hahn_variant,
     eigen_solve_poly,
@@ -32,7 +33,7 @@ from krallops.families import (
     family_to_json,
     lattice_product,
 )
-from krallops.polyops import Polynomial, _expand_graded, pochhammer
+from krallops.polyops import Polynomial, RationalFunction, _expand_graded, pochhammer
 from newton_reference import ref_newton_poly, ref_scalars
 
 F = Fraction
@@ -126,7 +127,7 @@ def test_recurrence_starts_with_c0_zero(fam):
 
 
 # Parameters for each family across its admissible domain, drawn so that the
-# special points come up: Krawtchouk at an integer N <= 30 (c_N = 0), Meixner
+# special points come up: Krawtchouk at an integer N <= 60 (c_N = 0), Meixner
 # at an integer c <= 0 and Laguerre at an integer alpha < 0 (Newton terms
 # vanish), Jacobi at alpha + beta = 0 (b_n is 0/0 at n = 0), Hahn at
 # alpha + c - N = 0, 1 or 2 (c_1 resp. b_0 is 0/0 at the first two).
@@ -137,7 +138,7 @@ nonpositive_integers = st.integers(-8, 0).map(F)
 FAMILY_PARAMS = {
     Charlier: st.tuples(small_rationals),
     Meixner: st.tuples(small_rationals, nonpositive_integers | small_rationals),
-    Krawtchouk: st.tuples(small_rationals, st.one_of(st.integers(0, 30).map(F), small_rationals)),
+    Krawtchouk: st.tuples(small_rationals, st.one_of(st.integers(0, 60).map(F), small_rationals)),
     # drawn as (alpha, c, alpha + c - N)
     Hahn: st.tuples(
         small_rationals, small_rationals, st.sampled_from([F(0), F(1), F(2)]) | small_rationals
@@ -157,7 +158,7 @@ def test_closed_form_recurrence_matches_expansion(cls, data):
         fam = cls(*data.draw(FAMILY_PARAMS[cls]))
     except DegeneracyError:
         return
-    assert_recurrence_matches_expansion(fam, 30)
+    assert_recurrence_matches_expansion(fam, 60)
 
 
 @pytest.mark.parametrize(
@@ -378,6 +379,16 @@ def test_hahn_recurrence_passes_its_removable_points():
     # the cancelled forms stand in.  Formerly ttr(1) raised at the first.
     assert Hahn(F(1), F(3), F(4)).ttr(1) == (1, F(-8, 3), -36)
     assert Hahn(F(2), F(3), F(4)).ttr(0) == (1, F(9, 2), 0)
+
+
+def test_recurrence_cancelled_values_name_a_coefficient_and_an_index():
+    one = RationalFunction.of(1)
+    rec = Recurrence.of(one, one, one, {("b", 0): F(5), ("c", 2): F(7)})
+    assert rec.start == ((1, 5, 0), (1, 1, 1), (1, 1, 7))
+    assert rec.at(3) == (1, 1, 1)
+    for key in [("d", 1), ("b", -1)]:
+        with pytest.raises(ValueError, match=r"cancelled keys must be \('a', 'b' or 'c', n >= 0\)"):
+            Recurrence.of(one, one, one, {key: F(1)})
 
 
 def test_family_name_round_trip():
