@@ -9,19 +9,18 @@ transforms applied outermost-last:
 * AddDeltaScaled(loc, mass_ratio): add a point mass, measured as a ratio
   against the base's unit mass.
 
-Pairings are computed exactly: the test polynomial is rewritten through
-the transform chain, then paired with the base by expanding in the base
-family's polynomials via the three-term recurrence (only the p_0
-coordinate survives).  Because every check downstream is a ratio
-identity, the transcendental unit masses never appear.
+Pairings are computed exactly from the moments mu_j = <functional, x^j>:
+the base moments come from one sweep of the base family's three-term
+recurrence (mu_j is the p_0 coordinate of x^j), and each transform maps the
+whole moment vector, innermost first.  Because every check downstream is a
+ratio identity, the transcendental unit masses never appear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Callable, Sequence, Union
 
 from .errors import DegeneracyError, NoOrthogonalPolynomialsError, check_at_least
@@ -54,6 +53,12 @@ from .polyops import (
 class ChristoffelBy:
     poly: Polynomial
 
+    def __post_init__(self):
+        if isinstance(self.poly, (int, Fraction)):
+            object.__setattr__(self, "poly", Polynomial((self.poly,)))
+        elif not isinstance(self.poly, Polynomial):
+            raise TypeError(f"poly must be a Polynomial or a rational; got {self.poly!r}")
+
 
 @dataclass(frozen=True)
 class ShiftBy:
@@ -81,53 +86,60 @@ class MomentFunctional:
     base: Family
     transforms: tuple[Transform, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "transforms", tuple(self.transforms))
+        for t in self.transforms:
+            if not isinstance(t, (ChristoffelBy, ShiftBy, AddDeltaScaled)):
+                raise TypeError(f"unknown transform {t!r}")
+
     def transformed(self, transform: Transform) -> "MomentFunctional":
         """Apply one more transform on the outside."""
         return MomentFunctional(self.base, self.transforms + (transform,))
 
 
-@lru_cache(maxsize=None)
-def _monomial_in_basis(family: Family, power: int) -> tuple[Fraction, ...]:
-    """Coordinates of x^power in the family basis, via the recurrence only."""
-    if power == 0:
-        return (Fraction(1),)
-    prev = _monomial_in_basis(family, power - 1)
-    out = [Fraction(0)] * (power + 1)
-    for m, d in enumerate(prev):
-        if d == 0:
-            continue
-        a_m, b_m, c_m = family.ttr(m)
-        out[m + 1] += d * a_m
-        out[m] += d * b_m
-        if m >= 1:
-            out[m - 1] += d * c_m
-    return tuple(out)
+def _moments(functional: MomentFunctional, top: int) -> list[Fraction]:
+    """mu_j = <functional, x^j> for j = 0..top; none when top < 0.
+
+    The base moments run to T = top + the Christoffel degrees, in one sweep
+    of the recurrence x p_m = a_m p_{m+1} + b_m p_m + c_m p_{m-1}: v holds
+    the coordinates of x^j in the basis p_0, p_1, ... up to index T - j, the
+    last that can still reach p_0, and mu_j = v[0].  Each transform then
+    maps the vector, innermost first: <r u, x^j> = sum_i r_i mu_{i+j},
+    <u(. + l), x^j> = <u, (x - l)^j> and <u + m delta_c, x^j> = mu_j + m c^j.
+    """
+    if top < 0:
+        return []
+    T = top + sum([max(t.poly.degree, 0) for t in functional.transforms
+                   if isinstance(t, ChristoffelBy)])
+    a, b, c = zip(*[functional.base.ttr(m) for m in range(T // 2 + 2)])
+    v, mus = [Fraction(1)], [Fraction(1)]
+    for j in range(1, T + 1):
+        w = [0, *v, 0, 0]  # w[m + 1] = v[m], and zero past either end
+        v = [a[m - 1] * w[m] + b[m] * w[m + 1] + c[m + 1] * w[m + 2]
+             for m in range(min(j, T - j) + 1)]
+        mus.append(v[0])
+    for t in functional.transforms:
+        if isinstance(t, ChristoffelBy):
+            g = t.poly.coeffs
+            mus = [sum([r * mus[i + j] for i, r in enumerate(g)], Fraction(0))
+                   for j in range(len(mus) - max(t.poly.degree, 0))]
+        elif isinstance(t, ShiftBy):
+            neg = [(-t.offset) ** i for i in range(len(mus))]
+            mus = [sum([comb(j, i) * neg[j - i] * mus[i] for i in range(j + 1)])
+                   for j in range(len(mus))]
+        else:
+            mus = [mu + t.mass_ratio * t.location**j for j, mu in enumerate(mus)]
+    return mus
 
 
 def base_pairing(family: Family, poly: Polynomial) -> Fraction:
     """Pair the base functional with poly, in units of the base's total mass."""
-    total = Fraction(0)
-    for j, c in enumerate(poly.coeffs):
-        if c:
-            total += c * _monomial_in_basis(family, j)[0]
-    return total
+    return pairing(MomentFunctional(family), poly)
 
 
 def pairing(functional: MomentFunctional, poly: Polynomial) -> Fraction:
     """Exact pairing <functional, poly> in base-unit mass."""
-    extra = Fraction(0)
-    p = poly
-    # Walk outermost transform first, rewriting the test polynomial.
-    for t in reversed(functional.transforms):
-        if isinstance(t, ChristoffelBy):
-            p = t.poly * p
-        elif isinstance(t, ShiftBy):
-            p = p.shift_arg(-t.offset)
-        elif isinstance(t, AddDeltaScaled):
-            extra += t.mass_ratio * p(t.location)
-        else:
-            raise TypeError(f"unknown transform {t!r}")
-    return base_pairing(functional.base, p) + extra
+    return _moment_pairing(functional, len(poly._ints()[0]) - 1)(poly)
 
 
 def moment(functional: MomentFunctional, power: int) -> Fraction:
@@ -185,10 +197,10 @@ def solve_fraction(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 def _moment_pairing(functional: MomentFunctional, top: int) -> Callable[[Polynomial], Fraction]:
     """The exact pairing p -> <functional, p> for deg p <= top.
 
-    By linearity it is sum_j c_j mu_j, with each moment computed once by
-    ``moment``, and it equals ``pairing`` Fraction for Fraction.
+    By linearity it is sum_j c_j mu_j over the moments of ``_moments``,
+    summed on integer numerators over one denominator.
     """
-    mus = [moment(functional, j) for j in range(top + 1)]
+    mus = _moments(functional, top)
     den = lcm(*[mu.denominator for mu in mus])
     nums = [mu.numerator * (den // mu.denominator) for mu in mus]
 
@@ -202,9 +214,9 @@ def _moment_pairing(functional: MomentFunctional, top: int) -> Callable[[Polynom
 def hankel_det(functional: MomentFunctional, level: int) -> Fraction:
     """det(mu_{i+j})_{i,j=0..level}."""
     check_at_least("level", level, 0)
-    pair = _moment_pairing(functional, 2 * level)
+    mus = _moments(functional, 2 * level)
     rows = range(level + 1)
-    return det_fraction([[pair(Polynomial.monomial(i + j)) for j in rows] for i in rows])
+    return det_fraction([[mus[i + j] for j in rows] for i in rows])
 
 
 def orthoseq(functional: MomentFunctional, nmax: int) -> list[Polynomial]:
@@ -266,9 +278,10 @@ def gram_check(functional: MomentFunctional, polys: Sequence[Polynomial]) -> Gra
 # -- named transformed functionals -------------------------------------------------
 
 
-def _rising_window(k: int) -> Polynomial:
-    """(x+1)(x+2)...(x+k)."""
-    return Polynomial.from_roots([-i for i in range(1, k + 1)])
+def _shifted_window(base: Family, k: int) -> MomentFunctional:
+    """The base shifted by k+1, then multiplied by (x+1)(x+2)...(x+k)."""
+    window = Polynomial.from_roots([-i for i in range(1, k + 1)])
+    return MomentFunctional(base, (ShiftBy(k + 1), ChristoffelBy(window)))
 
 
 def _c_window(c: Fraction, k: int) -> Polynomial:
@@ -279,10 +292,7 @@ def _c_window(c: Fraction, k: int) -> Polynomial:
 def charlier_transformed(a: RatLike, k: int) -> MomentFunctional:
     """Shift by k+1 then multiply by (x+1)...(x+k); the point mass at
     -k-1 present in the closed-form description emerges from the algebra."""
-    base = MomentFunctional(Charlier(as_fraction(a)))
-    return base.transformed(ShiftBy(Fraction(k + 1))).transformed(
-        ChristoffelBy(_rising_window(k))
-    )
+    return _shifted_window(Charlier(as_fraction(a)), k)
 
 
 def meixner1_transformed(a: RatLike, c: RatLike, k: int) -> MomentFunctional:
@@ -292,18 +302,11 @@ def meixner1_transformed(a: RatLike, c: RatLike, k: int) -> MomentFunctional:
 
 
 def meixner2_transformed(a: RatLike, c: RatLike, k: int) -> MomentFunctional:
-    c = as_fraction(c)
-    base = MomentFunctional(Meixner(as_fraction(a), c - k - 1))
-    return base.transformed(ShiftBy(Fraction(k + 1))).transformed(
-        ChristoffelBy(_rising_window(k))
-    )
+    return _shifted_window(Meixner(as_fraction(a), as_fraction(c) - k - 1), k)
 
 
 def krawtchouk_transformed(a: RatLike, N: RatLike, k: int) -> MomentFunctional:
-    base = MomentFunctional(Krawtchouk(as_fraction(a), as_fraction(N) + k + 1))
-    return base.transformed(ShiftBy(Fraction(k + 1))).transformed(
-        ChristoffelBy(_rising_window(k))
-    )
+    return _shifted_window(Krawtchouk(as_fraction(a), as_fraction(N) + k + 1), k)
 
 
 def hahn1_transformed(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> MomentFunctional:
@@ -314,10 +317,7 @@ def hahn1_transformed(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> MomentF
 
 def hahn2_transformed(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> MomentFunctional:
     alpha, c, N = as_fraction(alpha), as_fraction(c), as_fraction(N)
-    base = MomentFunctional(Hahn(alpha + k + 1, c - k - 1, N + k + 1))
-    return base.transformed(ShiftBy(Fraction(k + 1))).transformed(
-        ChristoffelBy(_rising_window(k))
-    )
+    return _shifted_window(Hahn(alpha + k + 1, c - k - 1, N + k + 1), k)
 
 
 def laguerre_transformed(alpha: RatLike, mass_ratio: RatLike) -> MomentFunctional:
@@ -512,7 +512,7 @@ def measure_to_json(functional: MomentFunctional) -> dict:
             transforms.append({"kind": "christoffel", "poly": t.poly.to_json()})
         elif isinstance(t, ShiftBy):
             transforms.append({"kind": "shift", "offset": fraction_to_str(t.offset)})
-        elif isinstance(t, AddDeltaScaled):
+        else:
             transforms.append(
                 {
                     "kind": "add-delta",
@@ -520,8 +520,6 @@ def measure_to_json(functional: MomentFunctional) -> dict:
                     "mass_ratio": fraction_to_str(t.mass_ratio),
                 }
             )
-        else:
-            raise TypeError(f"unknown transform {t!r}")
     return {"base": family_to_json(functional.base), "transforms": transforms}
 
 

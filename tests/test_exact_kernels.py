@@ -15,6 +15,11 @@ The moment pipeline is checked the same way.  ``orthoseq``, ``gram_check``,
 their former bodies (Hankel determinants plus dense solves, one
 transform-chain ``pairing`` per product, and the six-branch lemma chain) are
 kept below as references, and values and raised errors must match exactly.
+The moments themselves now come from one recurrence sweep mapped through the
+transform chain as a vector; the former per-polynomial walk (the test
+polynomial rewritten through the chain, then expanded in the base family
+monomial by monomial) is the reference ``ref_pairing`` that all of these
+references pair through.
 
 So are the family polynomials and operator composition.  ``pochhammer``
 now multiplies in integers; each family builds p_n from its three-term
@@ -53,6 +58,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -104,8 +110,6 @@ from krallops.moments import (
     laguerre_transformed,
     meixner1_transformed,
     meixner2_transformed,
-    moment,
-    pairing,
     solve_fraction,
 )
 from krallops.opalg import (
@@ -457,9 +461,57 @@ def test_lattice_helpers_match_factor_products(u):
 # -- moment pipeline: references ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def ref_monomial_in_basis(family: Family, power: int) -> tuple[Fraction, ...]:
+    """Coordinates of x^power in the family basis, via the recurrence only."""
+    if power == 0:
+        return (Fraction(1),)
+    prev = ref_monomial_in_basis(family, power - 1)
+    out = [Fraction(0)] * (power + 1)
+    for m, d in enumerate(prev):
+        if d == 0:
+            continue
+        a_m, b_m, c_m = family.ttr(m)
+        out[m + 1] += d * a_m
+        out[m] += d * b_m
+        if m >= 1:
+            out[m - 1] += d * c_m
+    return tuple(out)
+
+
+def ref_base_pairing(family: Family, poly: Polynomial) -> Fraction:
+    """Pair the base functional with poly, in units of the base's total mass."""
+    total = Fraction(0)
+    for j, c in enumerate(poly.coeffs):
+        if c:
+            total += c * ref_monomial_in_basis(family, j)[0]
+    return total
+
+
+def ref_pairing(functional: MomentFunctional, poly: Polynomial) -> Fraction:
+    """Exact pairing <functional, poly> in base-unit mass."""
+    extra = Fraction(0)
+    p = poly
+    # Walk outermost transform first, rewriting the test polynomial.
+    for t in reversed(functional.transforms):
+        if isinstance(t, ChristoffelBy):
+            p = t.poly * p
+        elif isinstance(t, ShiftBy):
+            p = p.shift_arg(-t.offset)
+        elif isinstance(t, AddDeltaScaled):
+            extra += t.mass_ratio * p(t.location)
+        else:
+            raise TypeError(f"unknown transform {t!r}")
+    return ref_base_pairing(functional.base, p) + extra
+
+
+def ref_moment(functional: MomentFunctional, power: int) -> Fraction:
+    return ref_pairing(functional, Polynomial.monomial(power))
+
+
 def ref_hankel_det(functional: MomentFunctional, level: int) -> Fraction:
     """det(mu_{i+j})_{i,j=0..level}."""
-    mus = [moment(functional, j) for j in range(2 * level + 1)]
+    mus = [ref_moment(functional, j) for j in range(2 * level + 1)]
     return det_fraction([[mus[i + j] for j in range(level + 1)] for i in range(level + 1)])
 
 
@@ -470,7 +522,7 @@ def ref_orthoseq(functional: MomentFunctional, nmax: int) -> list[Polynomial]:
     to be nonzero; the first vanishing level raises
     NoOrthogonalPolynomialsError with that level recorded.
     """
-    mus = [moment(functional, j) for j in range(2 * nmax + 2)]
+    mus = [ref_moment(functional, j) for j in range(2 * nmax + 2)]
     for level in range(nmax + 1):
         d = det_fraction([[mus[i + j] for j in range(level + 1)] for i in range(level + 1)])
         if d == 0:
@@ -496,7 +548,7 @@ def ref_gram_check(functional: MomentFunctional, polys) -> GramReport:
     failures = []
     for i in range(n):
         for j in range(i, n):
-            v = pairing(functional, polys[i] * polys[j])
+            v = ref_pairing(functional, polys[i] * polys[j])
             values[i][j] = values[j][i] = v
             if i != j and v != 0:
                 failures.append((i, j))
@@ -579,10 +631,10 @@ def ref_ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioRepor
     else:
         raise ValueError(f"unknown pairing lemma kind {kind!r}")
 
-    base_value = pairing(functional, fam.polynomial(0))
+    base_value = ref_pairing(functional, fam.polynomial(0))
     checks = []
     for n in range(nmax + 1):
-        lhs = pairing(functional, fam.polynomial(n)) / base_value
+        lhs = ref_pairing(functional, fam.polynomial(n)) / base_value
         checks.append(RatioCheck(n=n, lhs=lhs, rhs=expected(n)))
     return RatioReport(kind=kind, checks=checks)
 
@@ -723,6 +775,57 @@ def test_ip_lemma_still_raises_when_the_dual_vanishes_at_minus_one(kind, params)
 )
 def test_ip_lemma_table_matches_on_random_parameters(kind, params, k, nmax):
     assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, nmax)
+
+
+chain_transforms = st.one_of(
+    st.builds(ChristoffelBy, st.lists(tiny, max_size=4).map(Polynomial)),
+    st.builds(ShiftBy, tiny),
+    st.builds(AddDeltaScaled, tiny, tiny),
+    # A zero and a constant Christoffel factor, a zero shift and a zero mass.
+    st.sampled_from([ChristoffelBy(Polynomial()), ChristoffelBy(Fraction(-5, 2)), ShiftBy(0)]),
+    st.builds(AddDeltaScaled, tiny, st.just(0)),
+)
+
+
+@st.composite
+def chained_functionals(draw):
+    """Any of the six families, Krawtchouk also at an integer N (so c_N = 0),
+    under a chain of 0 to 4 transforms."""
+    cls = draw(st.sampled_from([Charlier, Meixner, Krawtchouk, Hahn, Laguerre, Jacobi]))
+    params = [draw(tiny) for _ in fields(cls)]
+    if cls is Krawtchouk and draw(st.booleans()):
+        params[1] = Fraction(draw(st.integers(0, 12)))
+    try:
+        base = cls(*params)
+    except DegeneracyError:
+        assume(False)
+    return MomentFunctional(base, tuple(draw(st.lists(chain_transforms, max_size=4))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chained_functionals(),
+    st.integers(-1, 24),
+    st.lists(tiny, max_size=25).map(Polynomial),
+    st.integers(0, 12),
+)
+@example(
+    MomentFunctional(Krawtchouk(Fraction(1, 2), Fraction(3)), (ShiftBy(0), ChristoffelBy(3))),
+    24,
+    Polynomial.monomial(24, Fraction(-2, 3)),
+    12,
+)
+@example(
+    MomentFunctional(Jacobi(Fraction(0), Fraction(0)), (ChristoffelBy(Polynomial()),)),
+    -1,
+    Polynomial(),
+    0,
+)
+def test_moment_vector_matches_the_transform_walk(functional, power, poly, level):
+    assert_same(moments.moment, ref_moment, functional, power)
+    assert_same(moments.pairing, ref_pairing, functional, poly)
+    assert_same(moments.base_pairing, ref_base_pairing, functional.base, poly)
+    assert_same(moments.hankel_det, ref_hankel_det, functional, level)
 
 
 # -- family scalars and compose: references ------------------------------------------

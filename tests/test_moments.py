@@ -574,6 +574,24 @@ def test_measure_json_round_trip():
     assert measure_from_json(measure_to_json(atom)) == atom
 
 
+def test_transforms_are_coerced_or_rejected_at_construction():
+    assert ChristoffelBy(3) == ChristoffelBy(Polynomial((3,)))
+    assert ChristoffelBy(F(1, 2)).poly == Polynomial((F(1, 2),))
+    func = MomentFunctional(Charlier(F(1, 3))).transformed(ChristoffelBy(3))
+    assert measure_from_json(measure_to_json(func)) == func
+    for bad in ("ab", "3", 1.5, None):
+        with pytest.raises(TypeError, match="poly"):
+            ChristoffelBy(bad)
+    listed = MomentFunctional(Charlier(F(1, 3)), [ShiftBy(1)])
+    assert listed.transforms == (ShiftBy(1),)
+    assert hash(listed) == hash(MomentFunctional(Charlier(F(1, 3)), (ShiftBy(1),)))
+    assert measure_from_json(measure_to_json(listed)) == listed
+    with pytest.raises(TypeError, match=re.escape("unknown transform (3,)")):
+        MomentFunctional(Charlier(F(1, 3)), [(3,)])
+    with pytest.raises(TypeError, match="unknown transform 3"):
+        listed.transformed(3)
+
+
 def test_measure_json_rejects_unknown_transform():
     doc = measure_to_json(charlier_transformed(F(2), 1))
     doc["transforms"][0] = {"kind": "mystery"}
