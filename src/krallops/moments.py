@@ -124,8 +124,7 @@ def _moments(functional: MomentFunctional, top: int) -> list[Fraction]:
             mus = [sum([r * mus[i + j] for i, r in enumerate(g)], Fraction(0))
                    for j in range(len(mus) - max(t.poly.degree, 0))]
         elif isinstance(t, ShiftBy):
-            neg = [(-t.offset) ** i for i in range(len(mus))]
-            mus = [sum([comb(j, i) * neg[j - i] * mus[i] for i in range(j + 1)])
+            mus = [sum([comb(j, i) * (-t.offset) ** (j - i) * mus[i] for i in range(j + 1)])
                    for j in range(len(mus))]
         else:
             mus = [mu + t.mass_ratio * t.location**j for j, mu in enumerate(mus)]
