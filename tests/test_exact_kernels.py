@@ -695,20 +695,29 @@ IP_DEGENERATE = [
 tiny = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
+chain_transforms = st.one_of(
+    st.builds(ChristoffelBy, st.lists(tiny, max_size=4).map(Polynomial)),
+    st.builds(ShiftBy, tiny),
+    st.builds(AddDeltaScaled, tiny, tiny),
+    # A zero and a constant Christoffel factor, a zero shift and a zero mass.
+    st.sampled_from([ChristoffelBy(Polynomial()), ChristoffelBy(Fraction(-5, 2)), ShiftBy(0)]),
+    st.builds(AddDeltaScaled, tiny, st.just(0)),
+)
+
+
 @st.composite
 def functionals(draw):
-    """A random base family under a random Christoffel/shift/point-mass chain."""
+    """Any of the six families, Krawtchouk also at an integer N (so c_N = 0),
+    under a random chain of 0 to 4 Christoffel/shift/point-mass transforms."""
     cls = draw(st.sampled_from([Charlier, Meixner, Krawtchouk, Hahn, Laguerre, Jacobi]))
+    params = [draw(tiny) for _ in fields(cls)]
+    if cls is Krawtchouk and draw(st.booleans()):
+        params[1] = Fraction(draw(st.integers(0, 12)))
     try:
-        base = cls(*[draw(tiny) for _ in fields(cls)])
+        base = cls(*params)
     except DegeneracyError:
         assume(False)
-    transform = st.one_of(
-        st.builds(ChristoffelBy, st.lists(tiny, min_size=1, max_size=3).map(Polynomial)),
-        st.builds(ShiftBy, tiny),
-        st.builds(AddDeltaScaled, tiny, tiny),
-    )
-    return MomentFunctional(base, tuple(draw(st.lists(transform, max_size=3))))
+    return MomentFunctional(base, tuple(draw(st.lists(chain_transforms, max_size=4))))
 
 
 # -- moment pipeline: differential tests ---------------------------------------------
@@ -777,34 +786,9 @@ def test_ip_lemma_table_matches_on_random_parameters(kind, params, k, nmax):
     assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, nmax)
 
 
-chain_transforms = st.one_of(
-    st.builds(ChristoffelBy, st.lists(tiny, max_size=4).map(Polynomial)),
-    st.builds(ShiftBy, tiny),
-    st.builds(AddDeltaScaled, tiny, tiny),
-    # A zero and a constant Christoffel factor, a zero shift and a zero mass.
-    st.sampled_from([ChristoffelBy(Polynomial()), ChristoffelBy(Fraction(-5, 2)), ShiftBy(0)]),
-    st.builds(AddDeltaScaled, tiny, st.just(0)),
-)
-
-
-@st.composite
-def chained_functionals(draw):
-    """Any of the six families, Krawtchouk also at an integer N (so c_N = 0),
-    under a chain of 0 to 4 transforms."""
-    cls = draw(st.sampled_from([Charlier, Meixner, Krawtchouk, Hahn, Laguerre, Jacobi]))
-    params = [draw(tiny) for _ in fields(cls)]
-    if cls is Krawtchouk and draw(st.booleans()):
-        params[1] = Fraction(draw(st.integers(0, 12)))
-    try:
-        base = cls(*params)
-    except DegeneracyError:
-        assume(False)
-    return MomentFunctional(base, tuple(draw(st.lists(chain_transforms, max_size=4))))
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    chained_functionals(),
+    functionals(),
     st.integers(-1, 24),
     st.lists(tiny, max_size=25).map(Polynomial),
     st.integers(0, 12),
