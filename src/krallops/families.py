@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import DegeneracyError, check_at_least
@@ -28,13 +27,10 @@ from .polyops import (
     Polynomial,
     RationalFunction,
     RatLike,
-    _expand_graded,
     _from_ints,
-    _running,
     as_fraction,
     fraction_to_str,
     pochhammer,
-    rising_suffix,
 )
 
 
@@ -142,38 +138,6 @@ def _extend(run: dict[int, Polynomial], rec: Recurrence, n: int) -> None:
             out[i] -= v * z
         p = run.setdefault(m + 1, _from_ints(out, den * abs(a.numerator)))
         (P, dp), (Q, dq), m = p._ints(), (P, dp), m + 1
-
-
-def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
-    """Exact coordinates of poly in the basis p_0, p_1, ... of the family."""
-    return _expand_graded(
-        poly, fam.polynomial, DegeneracyError("family basis expansion failed to terminate")
-    )
-
-
-def eigen_solve_poly(fam: Family, n: int) -> Polynomial:
-    """Second, independent generator: solve (D - theta_n) p = 0 degree by degree.
-
-    The second-order operator is triangular on monomials with diagonal
-    theta_m, so back-substitution from the leading coefficient (matched to
-    the recurrence generator) pins the polynomial uniquely.
-    """
-    op = fam.second_order_op()
-    cols = [op.apply(Polynomial.monomial(m)) for m in range(n + 1)]
-    theta = [fam.eigenvalue(m) for m in range(n + 1)]
-    target = fam.polynomial(n).lead
-    v: list[Fraction] = [Fraction(0)] * (n + 1)
-    v[n] = target
-    for i in range(n - 1, -1, -1):
-        s = Fraction(0)
-        for m in range(i + 1, n + 1):
-            s += cols[m].coeff(i) * v[m]
-        if theta[i] == theta[n]:
-            raise DegeneracyError(
-                f"eigenvalue collision theta_{i} = theta_{n}; eigen-solve is singular"
-            )
-        v[i] = -s / (theta[i] - theta[n])
-    return Polynomial(v)
 
 
 # -- discrete families ----------------------------------------------------------
@@ -414,18 +378,11 @@ class Jacobi(Family, kind="differential"):
         return pochhammer(n + self.alpha, j) * pochhammer(n + self.beta - j, j)
 
 
-def binomial_rising_terms(k: int, u: RatLike, v: RatLike) -> tuple[list[int], list[int]]:
-    """binom(k, j) (u+j)_{k-j} (v+j)_{k-j} = nums[j] / dens[j] for j = 0..k.
-
-    binom(k, j) = (-1)^j (-k)_j / j!.  O(k) integer products and no division,
-    so a vanishing rising factor gives an exact zero term."""
-    rise_u, qu = rising_suffix(u, k)
-    rise_v, qv = rising_suffix(v, k)
-    fact = _running(range(1, k + 1))
-    qs = _running(repeat(qu * qv, k))
-    nums = [fact[k] * rise_u[j] * rise_v[j] for j in range(k + 1)]
-    dens = [fact[j] * fact[k - j] * qs[k - j] for j in range(k + 1)]
-    return nums, dens
+def binomial_rising_terms(k: int, u: RatLike, v: RatLike) -> list[Fraction]:
+    """binom(k, j) (u+j)_{k-j} (v+j)_{k-j} for j = 0..k."""
+    u, v = as_fraction(u), as_fraction(v)
+    return [comb(k, j) * pochhammer(u + j, k - j) * pochhammer(v + j, k - j)
+            for j in range(k + 1)]
 
 
 # -- quadratic-lattice helpers and dual Hahn polynomials ---------------------------
@@ -449,7 +406,7 @@ def dual_hahn_poly(alpha: RatLike, c: RatLike, N: RatLike, k: int) -> Polynomial
     u = N - alpha - c
     # s_{j,u} = (-1)^j prod_{i<j} (x - x_i) on the nodes x_i = -i(u - i), and
     # s_{j,u} has the coefficient (-k)_j (1-N+j)_{k-j} (c+j)_{k-j} / j!.
-    terms = [Fraction(a, b) for a, b in zip(*binomial_rising_terms(k, 1 - N, c))]
+    terms = binomial_rising_terms(k, 1 - N, c)
     return Polynomial.from_newton(terms, [-i * (u - i) for i in range(k)])
 
 

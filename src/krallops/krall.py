@@ -432,9 +432,9 @@ class _Type2Recipe(NamedTuple):
                     f"{kind}: parameter exclusion violated: {name} = {v} is a"
                     " nonpositive integer"
                 )
-        nums, dens = binomial_rising_terms(k, *self.pochhammer_pair(**values))
+        terms = binomial_rising_terms(k, *self.pochhammer_pair(**values))
         # (-k)_j / j! = (-1)^j binom(k, j)
-        w = [Fraction((-1) ** j * a, b) for j, (a, b) in enumerate(zip(nums, dens))]
+        w = [(-1) ** j * t for j, t in enumerate(terms)]
         dop = catalog(fam)[self.dop_index]
         kc = construct_type2(fam, dop, w, nmax, label=_label(kind, values, f"k={k}"))
         if self.negate:

@@ -379,7 +379,8 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
 
     Ratios are taken so every transcendental unit mass cancels and both
     sides are exact rationals.  ``params`` carries the family parameters
-    (a, c, N, alpha as appropriate).
+    (a, c, N, alpha as appropriate).  A vanishing normaliser, <F, p_0> or
+    the right side's, raises DegeneracyError.
     """
     check_at_least("nmax", nmax, 0)
     check_at_least("k", k, 0)
@@ -390,18 +391,20 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
     functional = build(*(getattr(fam, f) for f in FAMILY_PARAM_FIELDS[name]), k)
     if dual_and_ratio:
         dual, r = dual_and_ratio(fam)
+        d = dual.polynomial(k)
+        norm_name, norm = "D_k(-1)", d(Fraction(-1))
 
         def expected(n: int) -> Fraction:
-            d = dual.polynomial(k)
-            return r**n * d(Fraction(-n - 1)) / d(Fraction(-1))
+            return r**n * d(Fraction(-n - 1)) / norm
 
     else:
         al, c, N = fam.alpha, fam.c, fam.N
         variant = 1 if kind == "hahn1" else 2
         hstar = dual_hahn_variant(variant, al, c, N, k)
+        norm_name, norm = "h*(theta_0)", hstar(fam.eigenvalue(0))
 
         def expected(n: int) -> Fraction:
-            ratio = hstar(fam.eigenvalue(n)) / hstar(fam.eigenvalue(0))
+            ratio = hstar(fam.eigenvalue(n)) / norm
             shared = (
                 (-1) ** n
                 * Fraction(factorial(n))
@@ -413,6 +416,10 @@ def ip_lemma_check(kind: str, params: dict, k: int, nmax: int) -> RatioReport:
 
     pair = _moment_pairing(functional, nmax)
     base_value = pair(fam.polynomial(0))
+    zeros = [f"{name} = 0" for name, v in (("<F, p_0>", base_value), (norm_name, norm)) if not v]
+    if zeros:
+        raise DegeneracyError(f"{kind}: pairing normaliser vanishes ({' and '.join(zeros)});"
+                              " the ratios <F, p_n> / <F, p_0> are undefined")
     checks = []
     for n in range(nmax + 1):
         lhs = pair(fam.polynomial(n)) / base_value

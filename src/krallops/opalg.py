@@ -18,7 +18,6 @@ reads off q (``_grid_sequence``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 from operator import index
 from typing import Iterable, Mapping, Union
@@ -261,10 +260,6 @@ class DifferentialOperator(_KeyedOperator):
             raise OperatorError("order is undefined for the zero operator")
         return max(self._terms)
 
-    def in_algebra(self) -> bool:
-        """True when deg f_j <= j for every term."""
-        return all(f.degree <= j for j, f in self._terms.items())
-
     def apply(self, p: Polynomial) -> Polynomial:
         d, den = p._ints()
         pairs = []
@@ -393,32 +388,10 @@ class EigenGrid:
         return [b * s for s in lhs] == [a_den * v for v in seq[-lo : points - lo]]
 
 
-def identity_like(op: Operator) -> Operator:
-    return type(op).identity()
-
-
-def zero_like(op: Operator) -> Operator:
-    return type(op)()
-
-
-def _linear(pairs: list[tuple[Fraction, Operator]], like: Operator) -> Operator:
-    """sum_i c_i * op_i for nonzero c_i and operators of the kind of ``like``.
-
-    Each key sums c_i times its coefficient of op_i on integer numerators,
-    with one lcm and one reduction (``_sum_of_products``)."""
-    by_key: dict[int, list] = {}
-    for c, op in pairs:
-        like._check_kind(op)
-        for key, f in op._terms.items():
-            nums, den = f._ints()
-            by_key.setdefault(key, []).append(((nums, den * c.denominator), [c.numerator]))
-    return type(like)._of((key, _sum_of_products(terms, 1)) for key, terms in by_key.items())
-
-
 def _power(op: Operator, j: int) -> Operator:
     """op^j; each power is composed once per operator object and kept on it."""
     if j <= 1:
-        return op if j else identity_like(op)
+        return op if j else type(op).identity()
     powers = op._powers  # op^2, op^3, ...; op itself is not kept, so no cycle
     while len(powers) < j - 1:
         powers.append((powers[-1] if powers else op).compose(op))
@@ -426,16 +399,17 @@ def _power(op: Operator, j: int) -> Operator:
 
 
 def poly_of_op(p: Polynomial, op: Operator) -> Operator:
-    """Substitute an operator into a polynomial: sum_j a_j * op^j, op^0 = identity."""
-    return _linear([(c, _power(op, j)) for j, c in enumerate(p.coeffs) if c], op)
+    """Substitute an operator into a polynomial: sum_j a_j * op^j, op^0 = identity.
 
-
-def op_linear(pairs: Iterable[tuple[RatLike, Operator]]) -> Operator:
-    """Exact linear combination sum_i c_i * op_i (all of one kind)."""
-    pairs = [(as_fraction(c), op) for c, op in pairs]
-    if not pairs:
-        raise ValueError("op_linear needs at least one term")
-    return _linear([(c, op) for c, op in pairs if c], pairs[0][1])
+    Each key sums a_j times its coefficient of op^j on integer numerators,
+    with one lcm and one reduction (``_sum_of_products``)."""
+    by_key: dict[int, list] = {}
+    for j, c in enumerate(p.coeffs):
+        if c:
+            for key, f in _power(op, j)._terms.items():
+                nums, den = f._ints()
+                by_key.setdefault(key, []).append(((nums, den * c.denominator), [c.numerator]))
+    return type(op)._of((key, _sum_of_products(terms, 1)) for key, terms in by_key.items())
 
 
 # -- JSON round-trip -----------------------------------------------------------

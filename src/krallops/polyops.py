@@ -10,9 +10,7 @@ shares no factor with all of them, and every operation is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, gcd, lcm
-from operator import mul
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import DegeneracyError, check_at_least
@@ -268,7 +266,8 @@ class Polynomial:
         return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
-        return hash((self._nums, self._den))
+        # A constant hashes as the Fraction it equals.
+        return hash(self.coeff(0)) if len(self._nums) < 2 else hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -428,58 +427,15 @@ def pochhammer(start: RatLike, count: int) -> Fraction:
     With start = p/q this is prod_{i<count} (p + i q) / q^count: the
     product is taken in integers and reduced once."""
     check_at_least("count", count, 0)
-    nums, q = rising_prefix(start, count)
-    return Fraction(nums[count], q**count)
-
-
-def _running(factors: Iterable[int]) -> list[int]:
-    """[1, f_0, f_0 f_1, ...]: the prefix products of the integer factors."""
-    return list(accumulate(factors, mul, initial=1))
-
-
-def rising_prefix(start: RatLike, n: int) -> tuple[list[int], int]:
-    """(start)_j for j = 0..n, as integers N_j and q with (start)_j = N_j / q^j.
-
-    A running product that never divides, so a vanishing factor zeroes the
-    later entries exactly and nothing else."""
-    check_at_least("n", n, 0)
     a = as_fraction(start)
     p, q = a.numerator, a.denominator
-    return _running(p + i * q for i in range(n)), q
-
-
-def rising_suffix(start: RatLike, n: int) -> tuple[list[int], int]:
-    """(start + j)_{n-j} for j = 0..n, as integers M_j and q with
-    (start + j)_{n-j} = M_j / q^(n-j); a running product from j = n down."""
-    check_at_least("n", n, 0)
-    a = as_fraction(start)
-    p, q = a.numerator, a.denominator
-    return _running(p + i * q for i in range(n - 1, -1, -1))[::-1], q
-
-
-def pochhammer_poly(offset: RatLike, count: int) -> Polynomial:
-    """Rising factorial in the variable: (x + offset)_count, expanded."""
-    check_at_least("count", count, 0)
-    off = as_fraction(offset)
-    return Polynomial.from_roots([-(off + i) for i in range(count)])
-
-
-def falling_factorial_poly(count: int) -> Polynomial:
-    """x(x-1)...(x-count+1); the empty product is 1."""
-    check_at_least("count", count, 0)
-    return Polynomial.from_roots(range(count))
+    return Fraction(prod([p + i * q for i in range(count)]), q**count)
 
 
 def binom_poly(count: int) -> Polynomial:
     """Binomial-coefficient polynomial binom(x, count)."""
     check_at_least("count", count, 0)
     return Polynomial.from_roots(range(count), Fraction(1, factorial(count)))
-
-
-def binom_scalar(top: RatLike, count: int) -> Fraction:
-    """binom(top, count) for rational top and nonnegative integer count."""
-    t = as_fraction(top)
-    return pochhammer(t - count + 1, count) / factorial(count)
 
 
 def _expand_graded(

@@ -8,6 +8,10 @@ Laguerre and 1 for Jacobi.  ``ref_term`` computes one term from scratch;
 ``ref_scalars`` gives all n + 1 terms of the same formulas with each rising
 factorial carried from j to j + 1, O(n) products instead of O(n^2), and is
 checked against ``ref_term``.
+
+``eigen_solve_poly`` is a second, independent reference for p_n: it solves
+the family's eigen-equation degree by degree.  ``expand_in_family_basis``
+gives a polynomial's coordinates in the basis p_0, p_1, ....
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from functools import lru_cache
 from math import factorial
 
 from krallops.errors import DegeneracyError, check_at_least
-from krallops.families import Charlier, Hahn, Jacobi, Krawtchouk, Laguerre, Meixner
-from krallops.polyops import Polynomial, as_fraction
+from krallops.families import Charlier, Family, Hahn, Jacobi, Krawtchouk, Laguerre, Meixner
+from krallops.polyops import Polynomial, _expand_graded, as_fraction
 
 
 def ref_pochhammer(start, count: int) -> Fraction:
@@ -138,3 +142,35 @@ def ref_nodes(fam, n: int) -> list[int]:
 def ref_newton_poly(fam, n: int) -> Polynomial:
     """p_n from its reference terms and nodes."""
     return Polynomial.from_newton(ref_scalars(fam, n), ref_nodes(fam, n))
+
+
+def expand_in_family_basis(fam: Family, poly: Polynomial) -> list[Fraction]:
+    """Exact coordinates of poly in the basis p_0, p_1, ... of the family."""
+    return _expand_graded(
+        poly, fam.polynomial, DegeneracyError("family basis expansion failed to terminate")
+    )
+
+
+def eigen_solve_poly(fam: Family, n: int) -> Polynomial:
+    """Second, independent generator: solve (D - theta_n) p = 0 degree by degree.
+
+    The second-order operator is triangular on monomials with diagonal
+    theta_m, so back-substitution from the leading coefficient (matched to
+    the recurrence generator) pins the polynomial uniquely.
+    """
+    op = fam.second_order_op()
+    cols = [op.apply(Polynomial.monomial(m)) for m in range(n + 1)]
+    theta = [fam.eigenvalue(m) for m in range(n + 1)]
+    target = fam.polynomial(n).lead
+    v: list[Fraction] = [Fraction(0)] * (n + 1)
+    v[n] = target
+    for i in range(n - 1, -1, -1):
+        s = Fraction(0)
+        for m in range(i + 1, n + 1):
+            s += cols[m].coeff(i) * v[m]
+        if theta[i] == theta[n]:
+            raise DegeneracyError(
+                f"eigenvalue collision theta_{i} = theta_{n}; eigen-solve is singular"
+            )
+        v[i] = -s / (theta[i] - theta[n])
+    return Polynomial(v)

@@ -225,6 +225,25 @@ def test_ip_lemma_subcommand(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--kind chxx --a 1 --k 1 --nmax 4",
+        "--kind lme1x --a 1/4 --c 5/4 --k 1 --nmax 4",
+        "--kind meixner2 --a 1/4 --c 5 --k 1 --nmax 4",
+        "--kind krawtchouk --a 1/4 --N 4 --k 1 --nmax 4",
+        "--kind hahn2 --alpha=-1 --c 1 --N=-1/2 --k 3 --nmax 2",
+    ],
+    ids=lambda flags: flags.split()[1],
+)
+def test_ip_lemma_vanishing_normaliser_exits_three(capsys, flags):
+    # <F, p_0> = 0 and the right side's normaliser vanishes with it.
+    assert cli.main(["ip-lemma", *flags.split()]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hypothesis violated: ") and "normaliser" in captured.err
+
+
 def test_table_subcommand(capsys):
     code, doc = run_json(
         capsys,
@@ -440,3 +459,27 @@ def test_import_builds_no_recurrence_or_catalog():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=60, env=_package_env())
     assert proc.returncode == 0, proc.stderr
+
+
+PUBLIC_API = [
+    "AddDeltaScaled", "Charlier", "ChristoffelBy", "ConstructionError", "DOperator",
+    "DegeneracyError", "DifferenceOperator", "DifferentialOperator", "Family", "Hahn",
+    "HypothesisError", "Jacobi", "KrallConstruction", "KrallopsError", "Krawtchouk", "Laguerre",
+    "Meixner", "MomentFunctional", "NAMED_KINDS", "NamedConstruction",
+    "NoOrthogonalPolynomialsError", "OperatorError", "Polynomial", "ShiftBy", "antidifference",
+    "as_fraction", "band_profile", "base_pairing", "casorati_check", "catalog",
+    "construct_type1", "construct_type2", "construction_to_json", "dual_hahn_poly",
+    "dual_hahn_variant", "family_from_json", "family_from_name", "family_to_json",
+    "fraction_to_str", "generalized_operator", "gram_check", "hankel_det", "ip_lemma_check",
+    "lattice_product", "measure_from_json", "measure_to_json", "moment", "named",
+    "negated_frame", "operator_from_json", "operator_to_json", "orthoseq", "pairing",
+    "poly_of_op", "series_apply", "type2_companion", "verify_dop", "verify_eigen",
+]
+
+
+def test_public_api_is_pinned():
+    """Adding or removing a public name is a deliberate edit of this list."""
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert krallops.__all__ == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(krallops, name) is not None, name

@@ -29,11 +29,10 @@ six per-term ``_term(n, j)`` bodies (``newton_reference``) and the two
 ``compose`` bodies on ``Polynomial`` arithmetic.
 
 ``Polynomial`` itself is stored as integer numerators over one denominator,
-and ``poly_of_op`` and ``op_linear`` sum on integer numerators from one chain
-of operator powers.  The references are the former ``Fraction``-tuple
-``Polynomial`` methods (the class ``RefPolynomial``) and the former
-``poly_of_op`` and ``op_linear`` bodies, and results and raised errors must
-match exactly.
+and ``poly_of_op`` sums on integer numerators from one chain of operator
+powers.  The references are the former ``Fraction``-tuple ``Polynomial``
+methods (the class ``RefPolynomial``) and the former ``poly_of_op`` body, and
+results and raised errors must match exactly.
 
 Both operator kinds now share one keyed-term representation and one set of
 linear-space methods.  The reference is the former pair of classes and the
@@ -119,10 +118,7 @@ from krallops.opalg import (
     _as_coeff_poly,
     _common_ints,
     _sum_of_products,
-    identity_like,
-    op_linear,
     poly_of_op,
-    zero_like,
 )
 from krallops.polyops import (
     Polynomial,
@@ -131,8 +127,6 @@ from krallops.polyops import (
     antidifference,
     as_fraction,
     binom_poly,
-    binom_scalar,
-    falling_factorial_poly,
     fraction_to_str,
     pochhammer,
 )
@@ -340,14 +334,6 @@ def test_from_newton_matches_product_sum(form):
         assert Polynomial.from_roots(nodes[: len(scalars) - 1], scalars[-1]) == got
 
 
-@given(st.integers(0, 12))
-@settings(max_examples=13)
-def test_falling_factorials_match_root_products(count):
-    got = falling_factorial_poly(count)
-    assert got.coeffs == ref_falling(count).coeffs
-    assert_canonical(got)
-
-
 def ref_binom(j: int) -> Polynomial:
     return ref_falling(j) / factorial(j)
 
@@ -361,7 +347,8 @@ def ref_family_poly(fam, n: int) -> Polynomial:
     bodies of their former ``_build_poly``, verbatim but for ``binom_poly``,
     which is ``ref_binom`` here: the generating-function convolution
     composed through ``Polynomial.__call__``, the monomial sum, and the
-    (x-1)^(n-j) (x+1)^j power sum.
+    (x-1)^(n-j) (x+1)^j power sum.  Every rising factorial and binomial
+    scalar is the ``newton_reference`` one, not the ``polyops`` kernel.
     """
     if isinstance(fam, Meixner):
         neg_x_minus_c = Polynomial((-fam.c, -1))
@@ -372,7 +359,7 @@ def ref_family_poly(fam, n: int) -> Polynomial:
     if isinstance(fam, Laguerre):
         out = Polynomial.zero()
         for j in range(n + 1):
-            scalar = Fraction((-1) ** j, factorial(j)) * binom_scalar(
+            scalar = Fraction((-1) ** j, factorial(j)) * ref_binom_scalar(
                 n + fam.alpha, n - j
             )
             out = out + Polynomial.monomial(j, scalar)
@@ -383,7 +370,7 @@ def ref_family_poly(fam, n: int) -> Polynomial:
         xp1 = Polynomial((1, 1))
         out = Polynomial.zero()
         for j in range(n + 1):
-            scalar = binom_scalar(n + al, j) * binom_scalar(n + be, n - j)
+            scalar = ref_binom_scalar(n + al, j) * ref_binom_scalar(n + be, n - j)
             out = out + xm1 ** (n - j) * xp1**j * scalar
         return out * Fraction(1, 2**n)
     out = Polynomial()
@@ -391,19 +378,20 @@ def ref_family_poly(fam, n: int) -> Polynomial:
         ff = ref_falling(j)
         neg_x_poch = ref_mul(ff, Polynomial(((-1) ** j,)))
         if isinstance(fam, Charlier):
-            term = ref_mul(ff, Polynomial(((-fam.a) ** (n - j) * binom_scalar(n, j),)))
+            term = ref_mul(ff, Polynomial(((-fam.a) ** (n - j) * ref_binom_scalar(n, j),)))
         elif isinstance(fam, Krawtchouk):
             a, N = fam.a, fam.N
             scalar = (
                 (-1) ** (n + j) * (a / (1 + a)) ** (n - j)
-                * pochhammer(-n, j) * pochhammer(N - n, n - j) / factorial(j)
+                * ref_pochhammer(-n, j) * ref_pochhammer(N - n, n - j) / factorial(j)
             )
             term = ref_mul(neg_x_poch, Polynomial((scalar,)))
         else:
             al, c, N = fam.alpha, fam.c, fam.N
             scalar = (
-                pochhammer(-n, j) * pochhammer(1 - N + j, n - j) * pochhammer(c + j, n - j)
-                / (pochhammer(n + al + c - N + j, n - j) * factorial(j))
+                ref_pochhammer(-n, j) * ref_pochhammer(1 - N + j, n - j)
+                * ref_pochhammer(c + j, n - j)
+                / (ref_pochhammer(n + al + c - N + j, n - j) * factorial(j))
             )
             term = ref_mul(neg_x_poch, Polynomial((scalar,)))
         out = out + term
@@ -647,10 +635,13 @@ def outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "level", None)
 
 
-def assert_same(fn, ref, *args):
-    got = outcome(fn, *args)
+def assert_same(fn, ref, *args, alike=()):
+    """fn and ref give the same value or raise the same error; ``alike`` holds
+    further (error type, reference error type) pairs that count as the same."""
+    got, want = outcome(fn, *args), outcome(ref, *args)
+    raised = (got[0], want[0]) if isinstance(got, tuple) and isinstance(want, tuple) else None
     # A bare assert would diff the reprs, which are huge when coefficients blow up.
-    if got != outcome(ref, *args):
+    if got != want and raised not in alike:
         pytest.fail(f"{fn.__name__}{args!r} differs from the reference", pytrace=False)
     return got
 
@@ -771,8 +762,11 @@ def test_ip_lemma_table_matches_six_branch_chain(kind):
 
 @pytest.mark.parametrize("kind, params", IP_DEGENERATE)
 def test_ip_lemma_still_raises_when_the_dual_vanishes_at_minus_one(kind, params):
-    err = assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, 1, 4)
-    assert err[0] is ZeroDivisionError
+    vanishing = rf"^{kind}: pairing normaliser vanishes .*D_k\(-1\) = 0"
+    with pytest.raises(DegeneracyError, match=vanishing):
+        moments.ip_lemma_check(kind, params, 1, 4)
+    with pytest.raises(ZeroDivisionError):
+        ref_ip_lemma_check(kind, params, 1, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -783,7 +777,10 @@ def test_ip_lemma_still_raises_when_the_dual_vanishes_at_minus_one(kind, params)
     st.integers(0, 6),
 )
 def test_ip_lemma_table_matches_on_random_parameters(kind, params, k, nmax):
-    assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, nmax)
+    # Where a normaliser vanishes, the table raises DegeneracyError and the
+    # reference divides by zero.
+    alike = {(DegeneracyError, ZeroDivisionError)}
+    assert_same(moments.ip_lemma_check, ref_ip_lemma_check, kind, params, k, nmax, alike=alike)
 
 
 @settings(max_examples=150, deadline=None)
@@ -931,9 +928,9 @@ def test_family_scalars_match_terms_on_random_parameters(fam_n):
 @example(6, Fraction(-2), Fraction(5, 2))
 @example(9, Fraction(0), Fraction(-4))
 def test_binomial_rising_terms_match_type2_weights(k, u, v):
-    nums, dens = binomial_rising_terms(k, u, v)
-    got = [Fraction((-1) ** j * a, b) for j, (a, b) in enumerate(zip(nums, dens))]
-    assert got == ref_type2_weights(k, u, v)
+    terms = binomial_rising_terms(k, u, v)
+    assert all(type(t) is Fraction for t in terms)
+    assert [(-1) ** j * t for j, t in enumerate(terms)] == ref_type2_weights(k, u, v)
 
 
 NEG = DifferenceOperator({-3: HUGE, -1: CONST, 2: Polynomial((0, Fraction(-1, 2)))})
@@ -1092,8 +1089,8 @@ def _ref_coerce_poly(value):
 
 
 def ref_poly_of_op(p: Polynomial, op):
-    out = zero_like(op)
-    power = identity_like(op)
+    out = type(op)()
+    power = type(op).identity()
     deg = -1 if p.is_zero() else p.degree
     for j in range(deg + 1):
         c = p.coeff(j)
@@ -1101,16 +1098,6 @@ def ref_poly_of_op(p: Polynomial, op):
             out = out + power * c
         if j < deg:
             power = power.compose(op)
-    return out
-
-
-def ref_op_linear(pairs):
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("op_linear needs at least one term")
-    out = zero_like(pairs[0][1])
-    for c, op in pairs:
-        out = out + op * as_fraction(c)
     return out
 
 
@@ -1219,20 +1206,6 @@ def test_poly_of_op_matches_term_by_term_powers(op, p, q):
         assert type(got) is type(op) and got == ref_poly_of_op(poly, op)
         for f in got.terms.values() if isinstance(got, DifferenceOperator) else got.terms:
             assert_canonical(f)
-
-
-@given(
-    operator_kinds.flatmap(
-        lambda kind: st.lists(st.tuples(operands, tiny_operators(kind)), max_size=4)
-    )
-)
-@settings(max_examples=100, deadline=None)
-@example([])
-@example([(0, DifferenceOperator.forward_difference())])
-@example([(2, DifferentialOperator.ddx(1)), ("-2", DifferentialOperator.ddx(1))])
-def test_op_linear_matches_term_by_term_sum(pairs):
-    got = settled(op_linear, pairs)
-    assert got == settled(ref_op_linear, pairs)
 
 
 # -- one operator algebra: the merged operator kinds against the former classes ----------
@@ -1404,10 +1377,6 @@ def _former_opalg() -> SimpleNamespace:
                 raise OperatorError("order is undefined for the zero operator")
             return len(self._terms) - 1
 
-        def in_algebra(self) -> bool:
-            """True when deg f_j <= j for every term (zero coeffs pass)."""
-            return all(f.is_zero() or f.degree <= j for j, f in enumerate(self._terms))
-
         def apply(self, p: Polynomial) -> Polynomial:
             d, den = p._ints()
             pairs = []
@@ -1485,12 +1454,6 @@ def _former_opalg() -> SimpleNamespace:
         return DifferentialOperator.identity()
 
 
-    def zero_like(op: Operator) -> Operator:
-        if isinstance(op, DifferenceOperator):
-            return DifferenceOperator()
-        return DifferentialOperator()
-
-
     def _linear(pairs: list[tuple[Fraction, Operator]], like: Operator) -> Operator:
         """sum_i c_i * op_i for nonzero c_i and operators of the kind of ``like``.
 
@@ -1526,14 +1489,6 @@ def _former_opalg() -> SimpleNamespace:
     def poly_of_op(p: Polynomial, op: Operator) -> Operator:
         """Substitute an operator into a polynomial: sum_j a_j * op^j, op^0 = identity."""
         return _linear([(c, _power(op, j)) for j, c in enumerate(p.coeffs) if c], op)
-
-
-    def op_linear(pairs: Iterable[tuple[RatLike, Operator]]) -> Operator:
-        """Exact linear combination sum_i c_i * op_i (all of one kind)."""
-        pairs = [(as_fraction(c), op) for c, op in pairs]
-        if not pairs:
-            raise ValueError("op_linear needs at least one term")
-        return _linear([(c, op) for c, op in pairs if c], pairs[0][1])
 
 
     # -- JSON round-trip -----------------------------------------------------------
@@ -1576,10 +1531,7 @@ def _former_opalg() -> SimpleNamespace:
     return SimpleNamespace(
         DifferenceOperator=DifferenceOperator,
         DifferentialOperator=DifferentialOperator,
-        identity_like=identity_like,
-        zero_like=zero_like,
         poly_of_op=poly_of_op,
-        op_linear=op_linear,
         operator_to_json=operator_to_json,
         operator_from_json=operator_from_json,
     )
@@ -1637,7 +1589,6 @@ OPERATOR_METHODS = {
     "is_zero": lambda ns, a, b, c, j, p: a.is_zero(),
     "order": lambda ns, a, b, c, j, p: a.order(),
     "genre": lambda ns, a, b, c, j, p: a.genre(),
-    "in_algebra": lambda ns, a, b, c, j, p: a.in_algebra(),
     "add": lambda ns, a, b, c, j, p: a + b,
     "sub": lambda ns, a, b, c, j, p: a - b,
     "neg": lambda ns, a, b, c, j, p: -a,
@@ -1649,14 +1600,11 @@ OPERATOR_METHODS = {
     "repr": lambda ns, a, b, c, j, p: repr(a),
     "apply": lambda ns, a, b, c, j, p: a.apply(p),
     "compose": lambda ns, a, b, c, j, p: a.compose(same_kind(a, b)),
-    "identity_like": lambda ns, a, b, c, j, p: ns.identity_like(a),
-    "zero_like": lambda ns, a, b, c, j, p: ns.zero_like(a),
     "shift": lambda ns, a, b, c, j, p: ns.DifferenceOperator.shift(j, c),
     "ddx": lambda ns, a, b, c, j, p: ns.DifferentialOperator.ddx(max(j, 0), c),
     "to_json": lambda ns, a, b, c, j, p: ns.operator_to_json(a),
     "from_json": lambda ns, a, b, c, j, p: ns.operator_from_json(ns.operator_to_json(a)),
     "poly_of_op": lambda ns, a, b, c, j, p: ns.poly_of_op(p, a),
-    "op_linear": lambda ns, a, b, c, j, p: ns.op_linear([(c, a), (j, b), (p.lead, a)]),
 }
 
 

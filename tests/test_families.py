@@ -26,15 +26,13 @@ from krallops.families import (
     Recurrence,
     dual_hahn_poly,
     dual_hahn_variant,
-    eigen_solve_poly,
-    expand_in_family_basis,
     family_from_json,
     family_from_name,
     family_to_json,
     lattice_product,
 )
 from krallops.polyops import Polynomial, RationalFunction, _expand_graded, pochhammer
-from newton_reference import ref_newton_poly, ref_scalars
+from newton_reference import eigen_solve_poly, expand_in_family_basis, ref_newton_poly, ref_scalars
 
 F = Fraction
 

@@ -22,7 +22,6 @@ from krallops.families import (
     Krawtchouk,
     Laguerre,
     Meixner,
-    expand_in_family_basis,
 )
 from krallops.krall import (
     KrallConstruction,
@@ -39,6 +38,7 @@ from krallops.krall import (
 from krallops.moments import gram_check, orthoseq
 from krallops.opalg import DifferenceOperator, DifferentialOperator, EigenGrid, operator_from_json
 from krallops.polyops import Polynomial, pochhammer
+from newton_reference import expand_in_family_basis
 
 F = Fraction
 
